@@ -17,7 +17,6 @@ import sys
 from .burning import (
     BurningError,
     SizeGuardExceeded,
-    burning_map,
     burning_number,
     enumerate_burnings,
     extremal_path_report,
@@ -100,13 +99,10 @@ def _burning_record(b, one_based: bool) -> dict:
 def cmd_burnings(args) -> int:
     g = load_graph(args.graph)
     burnings = enumerate_burnings(g)
-    record = {"vertex_count": g.vertex_count,
-              "burnings": [_burning_record(b, args.one_based) for b in burnings]}
-    lines = []
-    for b in burnings:
-        tag = " hom" if burning_map(b).is_homomorphism else ""
-        lines.append(f"sources {','.join(map(str, shift(b.sources, args.one_based)))} "
-                     f"end_time {b.end_time}{tag}")
+    records = [_burning_record(b, args.one_based) for b in burnings]
+    record = {"vertex_count": g.vertex_count, "burnings": records}
+    lines = [f"sources {','.join(map(str, rec['sources']))} end_time {rec['end_time']}"
+             + (" hom" if rec["is_homomorphism"] else "") for rec in records]
     lines.append(f"total {len(burnings)}")
     _emit(args, record, lines)
     return 0

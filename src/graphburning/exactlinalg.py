@@ -1,8 +1,10 @@
 """Exact matrix reduction: integer Smith normal form and field elimination.
 
 Matrices are lists of row lists.  Integer work uses Python's arbitrary
-precision ints throughout; field work uses Fraction for the rationals and
-ints mod p for prime fields.
+precision ints throughout.  Homology over every coefficient ring is read off
+the integer Smith form by universal coefficients; field elimination (Fraction
+for the rationals, ints mod p for prime fields) serves induced maps and
+`matrix_rank_over`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from math import gcd
 from typing import Sequence
 
 Matrix = list[list[int]]
+
+
+class InvariantError(AssertionError):
+    """A structural invariant failed; raised explicitly so `python -O` keeps it."""
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -48,9 +54,10 @@ class SmithForm:
     rank: int
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.diagonal, self.diagonal[1:]):
-            assert b % a == 0, "divisibility chain broken"
-        assert self.rank == len(self.diagonal)
+        if any(b % a for a, b in zip(self.diagonal, self.diagonal[1:])):
+            raise InvariantError(f"divisibility chain broken: {self.diagonal}")
+        if self.rank != len(self.diagonal):
+            raise InvariantError(f"rank {self.rank} != diagonal length {len(self.diagonal)}")
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
@@ -131,17 +138,7 @@ def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
     rows, cols = len(m), len(m[0]) if m else 0
 
     def minor_det(ris: tuple[int, ...], cis: tuple[int, ...]) -> int:
-        sub = [[m[i][j] for j in cis] for i in ris]
-        n = len(sub)
-        if n == 1:
-            return sub[0][0]
-        det = 0
-        for j in range(n):
-            if sub[0][j]:
-                smaller = [row[:j] + row[j + 1:] for row in sub[1:]]
-                sign = -1 if j % 2 else 1
-                det += sign * sub[0][j] * _det(smaller)
-        return det
+        return _det([[m[i][j] for j in cis] for i in ris])
 
     def _det(sub: list[list[int]]) -> int:
         n = len(sub)

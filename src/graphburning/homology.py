@@ -2,8 +2,10 @@
 
 Simplexes are stored with ascending vertices; the boundary of [u_0 < ... < u_q]
 is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
-u_i.  Integer homology comes from Smith normal form; field homology from exact
-elimination (Fraction for Q, modular arithmetic for a prime field).
+u_i.  Homology over Z, Q and F_p all comes from one integer Smith normal form
+per boundary: by universal coefficients a boundary's rank over Q is the length
+of its Smith diagonal and over F_p the number of entries p does not divide.
+Field elimination serves only induced maps and `matrix_rank_over`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 from .complexes import SimplicialComplex, SimplicialMap, faces
 from .exactlinalg import (
     FieldOps,
+    InvariantError,
     Matrix,
     field_rank,
     mat_mul,
@@ -86,8 +89,8 @@ def _assert_square_zero(cc: ChainComplexZ) -> None:
         if not lower or not upper or not upper[0]:
             continue
         product = mat_mul(lower, upper)
-        assert all(all(x == 0 for x in row) for row in product), \
-            f"boundary squared is nonzero out of degree {q}"
+        if any(any(row) for row in product):
+            raise InvariantError(f"boundary squared is nonzero out of degree {q}")
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,10 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.free_rank >= 0
-        for t in self.torsion:
-            assert t > 1
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0
+        if self.free_rank < 0 or any(t <= 1 for t in self.torsion):
+            raise InvariantError(f"bad homology group {self.free_rank}, {self.torsion}")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise InvariantError(f"torsion {self.torsion} not in divisibility order")
 
     @property
     def is_trivial(self) -> bool:
@@ -133,29 +135,21 @@ def homology(c: SimplicialComplex, reduced: bool = False,
              coeff: str = "z") -> list[HomologyGroup]:
     """Homology groups per degree 0..dim c.
 
-    Over the integers the free rank in degree q is (#q-faces) - rank(d_q) -
-    rank(d_{q+1}) and the torsion is the nontrivial part of SNF(d_{q+1});
-    over a field the torsion is empty and ranks use exact elimination.
+    The free rank in degree q is (#q-faces) - rank(d_q) - rank(d_{q+1}), read
+    off one Smith diagonal per boundary: over Z or Q the rank is the diagonal
+    length, over F_p the count of entries p does not divide.  Over Z the
+    torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
     """
     field = _parse_coeff(coeff)
+    p = field.p if field else None
     cc = chain_complex(c, augmented=reduced)
     top = len(cc.dims) - 1
-    groups = []
-    for q in range(top + 1):
-        d_q = cc.boundary(q)
-        d_next = cc.boundary(q + 1)
-        if field is None:
-            rank_q = smith_normal_form(d_q).rank if d_q and d_q[0] else 0
-            snf_next = (smith_normal_form(d_next)
-                        if d_next and d_next[0] else None)
-            rank_next = snf_next.rank if snf_next else 0
-            torsion = tuple(d for d in snf_next.diagonal if d > 1) if snf_next else ()
-            groups.append(HomologyGroup(cc.dim(q) - rank_q - rank_next, torsion))
-        else:
-            rank_q = field_rank(d_q, field)
-            rank_next = field_rank(d_next, field)
-            groups.append(HomologyGroup(cc.dim(q) - rank_q - rank_next))
-    return groups
+    diagonals = [smith_normal_form(cc.boundary(q)).diagonal for q in range(top + 2)]
+    ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
+    return [HomologyGroup(
+        cc.dim(q) - ranks[q] - ranks[q + 1],
+        () if field else tuple(d for d in diagonals[q + 1] if d > 1))
+        for q in range(top + 1)]
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:
@@ -226,8 +220,8 @@ def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> Matrix:
         if d_src and d_src[0] and lower and d_dst and upper and upper[0]:
             assert mat_mul(lower, d_src) == mat_mul(d_dst, upper), \
                 "chain map does not commute with boundaries"
-    src_basis = _homology_basis(f.domain, degree, field)
-    dst_basis = _homology_basis(f.codomain, degree, field)
+    src_basis = _HomologyBasis(f.domain, degree, field)
+    dst_basis = _HomologyBasis(f.codomain, degree, field)
     cm = chain_map_matrix(f, degree)
     out = []
     for cycle in src_basis.representatives:
@@ -292,7 +286,3 @@ class _HomologyBasis:
         assert coords is not None, "vector is not a cycle in the stored space"
         k = len(self.boundaries)
         return coords[k:]
-
-
-def _homology_basis(c: SimplicialComplex, degree: int, field: FieldOps) -> _HomologyBasis:
-    return _HomologyBasis(c, degree, field)

@@ -28,7 +28,6 @@ from .complexes import (
     are_isomorphic,
     cone,
     configuration_space,
-    faces,
     one_skeleton_graph,
     skeleton,
     suspension,
@@ -165,9 +164,7 @@ def check_skeleton_complement() -> CheckResult:
     corpus = named_graphs(8) + random_graphs(50, 7)
     bad = []
     for name, g in corpus:
-        skel = Graph(g.vertex_count,
-                     frozenset(faces(configuration_space(g), 1)))
-        if skel != complement(g):
+        if one_skeleton_graph(configuration_space(g)) != complement(g):
             bad.append(name)
     return _result("skeleton-complement", statement, not bad,
                    {"graphs_checked": len(corpus), "counterexamples": bad})
@@ -238,7 +235,7 @@ def check_cube() -> CheckResult:
     two_sources = all(len(b.sources) == 2 for b in burnings)
     c = configuration_space(q)
     dim_ok = c.dimension == 1
-    equal = Graph(c.vertex_count, frozenset(faces(c, 1))) == complement(q)
+    equal = one_skeleton_graph(c) == complement(q)
     ok = two_sources and dim_ok and equal
     return _result("cube", statement, ok, {
         "burning_count": len(burnings), "all_two_sources": two_sources,

@@ -65,6 +65,15 @@ def test_burnings_round_trip(capsys):
         [0, 2], [0, 3], [1, 3], [2, 0], [3, 0], [3, 1]]
 
 
+def test_burnings_text_command(capsys):
+    code, out, _ = run(capsys, "burnings", "path:3")
+    assert code == 0 and out.splitlines() == [
+        "sources 0,2 end_time 2", "sources 1 end_time 2 hom",
+        "sources 2,0 end_time 2", "total 3"]
+    code, out, _ = run(capsys, "--one-based", "burnings", "path:3")
+    assert out.splitlines()[1] == "sources 2 end_time 2 hom"
+
+
 def test_homology_command(capsys):
     code, out, _ = run(capsys, "homology", "path:5")
     assert code == 0 and out.splitlines() == ["H_0 = Z", "H_1 = Z", "H_2 = 0"]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +21,7 @@ from graphburning import (
     matrix_rank_over,
     path_graph,
     smith_normal_form,
+    suspension,
     validate_simplicial_map,
 )
 from graphburning.exactlinalg import (
@@ -57,6 +63,15 @@ def test_smith_normal_form_known_values():
 def test_smith_form_rejects_broken_chain():
     with pytest.raises(AssertionError):
         SmithForm((4, 2), 2)
+
+
+def test_invariants_hold_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    for snippet in ("from graphburning import SmithForm; SmithForm((4, 2), 2)",
+                    "from graphburning import HomologyGroup; HomologyGroup(1, (4, 2))"):
+        done = subprocess.run([sys.executable, "-O", "-c", snippet], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode != 0 and "InvariantError" in done.stderr
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -178,6 +193,33 @@ def test_coefficient_parsing():
         homology(FULL_TRIANGLE, coeff="r")
     with pytest.raises(ValueError):
         homology(FULL_TRIANGLE, coeff="p:6")
+
+
+def _elimination_free_ranks(c, reduced, coeff):
+    """Oracle: dim(q) - rank(d_q) - rank(d_{q+1}) by field elimination."""
+    ops = FieldOps(None if coeff == "q" else int(coeff[2:]))
+    cc = chain_complex(c, augmented=reduced)
+    return [cc.dim(q) - field_rank(cc.boundary(q), ops)
+            - field_rank(cc.boundary(q + 1), ops) for q in range(len(cc.dims))]
+
+
+def _assert_field_ranks_match_elimination(c):
+    for reduced in (False, True):
+        for coeff in ("q", "p:2", "p:3"):
+            got = [h.free_rank for h in homology(c, reduced, coeff)]
+            assert got == _elimination_free_ranks(c, reduced, coeff), (reduced, coeff)
+
+
+@given(complexes())
+@settings(max_examples=60, deadline=None)
+def test_field_ranks_match_elimination(c):
+    _assert_field_ranks_match_elimination(c)
+
+
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE)],
+                         ids=["RP2", "suspension-RP2"])
+def test_field_ranks_match_elimination_with_torsion(c):
+    _assert_field_ranks_match_elimination(c)
 
 
 def test_homology_record():
