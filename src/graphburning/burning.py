@@ -14,14 +14,14 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from .exactlinalg import InvariantError
 from .graphs import (
+    INF,
     Graph,
     GraphMap,
     Subgraph,
     classify,
-    closed_neighborhood,
     distances,
-    induced_union,
     path_graph,
     validate_graph_map,
 )
@@ -62,37 +62,6 @@ def check_sources(g: Graph, sources: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class FiltrationState:
-    """Burned region at one step: N_j, plus U_j (burned before step-j ignition)."""
-
-    step: int
-    burned_now: tuple[int, ...]
-    burned_before_source: tuple[int, ...] | None
-
-
-def filtration(g: Graph, sources: Sequence[int]) -> list[FiltrationState]:
-    """Evaluate the neighborhood filtration literally as induced unions.
-
-    Returns states for steps 1..k+1; makes no validity judgment.
-    """
-    s = check_sources(g, sources)
-    k = len(s)
-    states = []
-    for j in range(1, k + 2):
-        if j <= k:
-            parts = [closed_neighborhood(g, s[i], j - 1 - i) for i in range(j)]
-        else:
-            parts = [closed_neighborhood(g, s[i], k - i) for i in range(k)]
-        n_j = induced_union(parts).vertices
-        u_j = None
-        if j >= 2:
-            parts = [closed_neighborhood(g, s[i], j - 1 - i) for i in range(j - 1)]
-            u_j = induced_union(parts).vertices
-        states.append(FiltrationState(j, n_j, u_j))
-    return states
-
-
-@dataclass(frozen=True)
 class Burning:
     """A validated burning: sources, per-vertex burning times, end time."""
 
@@ -110,16 +79,19 @@ class Burning:
     def check_invariants(self) -> None:
         k = len(self.sources)
         for i, v in enumerate(self.sources, start=1):
-            assert self.times[v] == i, f"source {v} burns at {self.times[v]} != {i}"
-        assert set(self.times) == set(range(1, self.end_time + 1)), \
-            "times not surjective onto 1..T"
-        assert self.end_time in (k, k + 1), f"T={self.end_time} with k={k}"
+            if self.times[v] != i:
+                raise InvariantError(f"source {v} burns at {self.times[v]} != {i}")
+        if set(self.times) != set(range(1, self.end_time + 1)):
+            raise InvariantError("times not surjective onto 1..T")
+        if self.end_time not in (k, k + 1):
+            raise InvariantError(f"T={self.end_time} with k={k}")
         for v, w in self.graph.edges:
-            assert abs(self.times[v] - self.times[w]) <= 1, \
-                f"edge ({v},{w}) jumps more than one step"
+            if abs(self.times[v] - self.times[w]) > 1:
+                raise InvariantError(f"edge ({v},{w}) jumps more than one step")
         dist = distances(self.graph)
         for a, b in zip(self.sources, self.sources[1:]):
-            assert dist[a][b] >= 2, f"consecutive sources {a},{b} adjacent"
+            if dist[a][b] < 2:
+                raise InvariantError(f"consecutive sources {a},{b} adjacent")
 
     def to_record(self) -> dict:
         return {
@@ -130,34 +102,33 @@ class Burning:
         }
 
 
-def _burn_times(g: Graph, sources: tuple[int, ...]) -> list[float]:
-    """best(v) = min_i (i + d(v_i, v)); equals lam(v) for valid sequences."""
-    dist = distances(g)
-    best = [float("inf")] * g.vertex_count
-    for i, s in enumerate(sources, start=1):
-        row = dist[s]
-        for v in g.vertices:
-            t = i + row[v]
-            if t < best[v]:
-                best[v] = t
-    return best
+def _ignite(dist: tuple[tuple[float, ...], ...], best: list[float], step: int,
+            v: int) -> list[float] | None:
+    """Burn times once source v ignites at the given step.
+
+    best holds the burn times under the earlier sources (INF where unreached);
+    the result is min(best(w), step + d(v, w)) for every w.  Returns None when
+    v already burns by this step (v lies in U_step): it is not admissible.
+    """
+    if best[v] <= step:
+        return None
+    return [min(b, step + d) for b, d in zip(best, dist[v])]
 
 
 def validate_burning(g: Graph, sources: Sequence[int]) -> Burning:
     """Accept exactly the admissible sequences and compute the time function."""
     s = check_sources(g, sources)
     dist = distances(g)
-    k = len(s)
-    for j in range(2, k + 1):
-        # v_j lies in U_j iff some earlier source reaches it by step j.
-        if any(i + dist[s[i - 1]][s[j - 1]] <= j for i in range(1, j)):
-            raise SourceTooEarly(j, s[j - 1])
-    best = _burn_times(g, s)
-    unburned = [v for v in g.vertices if best[v] > k + 1]
+    best = [INF] * g.vertex_count
+    for j, v in enumerate(s, start=1):
+        ignited = _ignite(dist, best, j, v)
+        if ignited is None:
+            raise SourceTooEarly(j, v)
+        best = ignited
+    unburned = [v for v in g.vertices if best[v] > len(s) + 1]
     if unburned:
         raise IncompleteBurning(unburned)
-    times = tuple(int(b) for b in best)
-    return Burning(g, s, times, max(times))
+    return Burning(g, s, tuple(best), max(best))
 
 
 def burning_map(b: Burning) -> GraphMap:
@@ -169,42 +140,36 @@ def burning_map(b: Burning) -> GraphMap:
     return validate_graph_map(tuple(t - 1 for t in b.times), b.graph, target)
 
 
-def _extend(g: Graph, prefix: list[int], best: list[float]) -> Iterator[tuple[int, ...]]:
-    j = len(prefix)
-    if all(t <= j + 1 for t in best):
-        yield tuple(prefix)
-        return
+def _burnings(g: Graph) -> Iterator[Burning]:
+    """Every burning of g, lexicographic in the source sequences, lazily.
+
+    Depth-first over admissible sources.  A prefix is a burning exactly when
+    the burned region closes over the whole graph at the next step; then no
+    source is admissible any more, so no burning sequence is a proper prefix
+    of another.
+    """
     dist = distances(g)
-    for v in g.vertices:
-        if best[v] <= j + 1:
-            continue
-        row = dist[v]
-        new_best = [min(best[w], j + 1 + row[w]) for w in g.vertices]
-        prefix.append(v)
-        yield from _extend(g, prefix, new_best)
-        prefix.pop()
+    prefix: list[int] = []
 
+    def extend(best: list[float]) -> Iterator[Burning]:
+        step = len(prefix) + 1
+        if all(t <= step for t in best):
+            yield Burning(g, tuple(prefix), tuple(best), max(best))
+            return
+        for v in g.vertices:
+            ignited = _ignite(dist, best, step, v)
+            if ignited is not None:
+                prefix.append(v)
+                yield from extend(ignited)
+                prefix.pop()
 
-def iter_burning_sequences(g: Graph) -> Iterator[tuple[int, ...]]:
-    """All burning sequences in lexicographic order, lazily."""
-    for v in g.vertices:
-        dist = distances(g)
-        best = [min(1 + dist[v][w], float("inf")) for w in g.vertices]
-        yield from _extend(g, [v], best)
+    return extend([INF] * g.vertex_count)
 
 
 @lru_cache(maxsize=None)
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
-    """The complete list of burnings, lexicographic in the source sequences.
-
-    A sequence is complete exactly when the burned region closes over the
-    whole graph, so no burning sequence is a proper prefix of another.
-    """
-    out = []
-    for s in iter_burning_sequences(g):
-        b = validate_burning(g, s)
-        out.append(b)
-    return tuple(out)
+    """The complete list of burnings, lexicographic in the source sequences."""
+    return tuple(_burnings(g))
 
 
 def burning_number(g: Graph) -> int:
@@ -505,8 +470,7 @@ def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
             return ExtremalPathReport(kind, param, n, b.sources, b)
     except BurningError:
         pass
-    for s in iter_burning_sequences(g):
-        b = validate_burning(g, s)
+    for b in _burnings(g):
         if _witness_ok(kind, param, b):
             return ExtremalPathReport(kind, param, n, b.sources, b)
     raise RuntimeError(f"no witness exists for {kind} at parameter {param}")

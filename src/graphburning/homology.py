@@ -218,8 +218,8 @@ def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> Matrix:
         d_src = src_cc.boundary(q)
         d_dst = dst_cc.boundary(q)
         if d_src and d_src[0] and lower and d_dst and upper and upper[0]:
-            assert mat_mul(lower, d_src) == mat_mul(d_dst, upper), \
-                "chain map does not commute with boundaries"
+            if mat_mul(lower, d_src) != mat_mul(d_dst, upper):
+                raise InvariantError("chain map does not commute with boundaries")
     src_basis = _HomologyBasis(f.domain, degree, field)
     dst_basis = _HomologyBasis(f.codomain, degree, field)
     cm = chain_map_matrix(f, degree)
@@ -283,6 +283,7 @@ class _HomologyBasis:
         if not self.representatives:
             return []
         coords = solve_in_span(self.boundaries + self.representatives, vec, field)
-        assert coords is not None, "vector is not a cycle in the stored space"
+        if coords is None:
+            raise InvariantError("vector is not a cycle in the stored space")
         k = len(self.boundaries)
         return coords[k:]

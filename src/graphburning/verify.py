@@ -29,7 +29,6 @@ from .complexes import (
     cone,
     configuration_space,
     one_skeleton_graph,
-    skeleton,
     suspension,
 )
 from .exactlinalg import determinantal_divisor_snf, smith_normal_form
@@ -43,7 +42,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     edgeless_graph,
-    identity_map,
     iterated_sum,
     path_graph,
     validate_graph_map,

@@ -17,7 +17,6 @@ from graphburning import (
     compose_morphisms,
     enumerate_burnings,
     extremal_path_report,
-    filtration,
     identity_morphism,
     induced_subgraph,
     is_b_burned,
@@ -37,6 +36,7 @@ from graphburning.graphs import (
 )
 
 from conftest import connected_graphs, graphs
+from filtration import filtration
 
 # Two five-vertex graphs burned by the same source pair: on the first the
 # burning map preserves every edge, on the second one edge collapses.
@@ -89,15 +89,41 @@ def test_times_match_filtration(g):
 @settings(max_examples=40, deadline=None)
 def test_enumeration_matches_brute_force(g):
     """Compare the backtracking enumerator against trying every permutation."""
-    found = {b.sources for b in enumerate_burnings(g)}
+    found = {(b.sources, b.times, b.end_time) for b in enumerate_burnings(g)}
     brute = set()
     for k in range(1, g.vertex_count + 1):
         for seq in permutations(range(g.vertex_count), k):
             try:
-                brute.add(validate_burning(g, seq).sources)
+                b = validate_burning(g, seq)
             except BurningError:
-                pass
+                continue
+            brute.add((b.sources, b.times, b.end_time))
     assert found == brute
+
+
+@given(graphs(max_vertices=5))
+@settings(max_examples=25, deadline=None)
+def test_enumeration_matches_literal_filtration(g):
+    """Every permutation prefix judged by the literal filtration alone.
+
+    A sequence is a burning iff v_j is not in U_j for j >= 2 and N_{k+1} = V;
+    its times are first appearances in the filtration.  validate_burning and
+    the search share their ignition step, so this is the independent oracle.
+    """
+    everything = set(g.vertices)
+    brute = set()
+    for k in range(1, g.vertex_count + 1):
+        for seq in permutations(range(g.vertex_count), k):
+            states = filtration(g, seq)
+            if any(v in state.burned_before_source
+                   for v, state in zip(seq[1:], states[1:])):
+                continue
+            if set(states[-1].burned_now) != everything:
+                continue
+            times = tuple(next(st.step for st in states if v in st.burned_now)
+                          for v in g.vertices)
+            brute.add((seq, times, max(times)))
+    assert {(b.sources, b.times, b.end_time) for b in enumerate_burnings(g)} == brute
 
 
 @given(graphs(max_vertices=6))

@@ -69,7 +69,9 @@ def test_smith_form_rejects_broken_chain():
 def test_invariants_hold_under_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     for snippet in ("from graphburning import SmithForm; SmithForm((4, 2), 2)",
-                    "from graphburning import HomologyGroup; HomologyGroup(1, (4, 2))"):
+                    "from graphburning import HomologyGroup; HomologyGroup(1, (4, 2))",
+                    "from graphburning import Burning, path_graph; "
+                    "Burning(path_graph(3), (0,), (1, 3, 3), 3).check_invariants()"):
         done = subprocess.run([sys.executable, "-O", "-c", snippet], env=env,
                               capture_output=True, text=True)
         assert done.returncode != 0 and "InvariantError" in done.stderr
