@@ -166,7 +166,10 @@ def _burnings(g: Graph) -> Iterator[Burning]:
     return extend([INF] * g.vertex_count)
 
 
-@lru_cache(maxsize=None)
+# A bound keeps the burnings of the last few graphs (one survey graph is asked
+# for its burnings, burning number and configuration space in turn) without
+# pinning every Burning built in a long-running process.
+@lru_cache(maxsize=8)
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
     """The complete list of burnings, lexicographic in the source sequences."""
     return tuple(_burnings(g))

@@ -50,9 +50,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def sorted_facets(self) -> list[Simplex]:
-        return sorted(self.facets, key=lambda f: (len(f), f))
-
     def has_face(self, simplex: Sequence[int]) -> bool:
         s = set(simplex)
         return any(s <= set(f) for f in self.facets)

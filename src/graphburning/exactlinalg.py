@@ -1,10 +1,12 @@
 """Exact matrix reduction: integer Smith normal form and field elimination.
 
 Matrices are lists of row lists.  Integer work uses Python's arbitrary
-precision ints throughout.  Homology over every coefficient ring is read off
-the integer Smith form by universal coefficients; field elimination (Fraction
-for the rationals, ints mod p for prime fields) serves induced maps and
-`matrix_rank_over`.
+precision ints throughout.  The Smith form converts its input to sparse rows
+({column: value}, zeros dropped) and reduces them in one elimination loop, so
+each pivot costs work in the nonzero entries rather than the matrix's area.
+Homology over every coefficient ring is read off the integer Smith form by
+universal coefficients; field elimination (Fraction for the rationals, ints
+mod p for prime fields) serves induced maps and `matrix_rank_over`.
 """
 
 from __future__ import annotations
@@ -23,13 +25,6 @@ class InvariantError(AssertionError):
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -61,70 +56,59 @@ class SmithForm:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
-    """Exact Smith normal form; pivot = minimal nonzero absolute value."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Exact Smith normal form by one elimination on sparse rows.
+
+    Each step pivots on a nonzero entry of least absolute value, preferring
+    the lightest row, so the unit entries of a boundary matrix go first.  Row
+    operations clear the pivot's column; once it holds only the pivot, column
+    operations touch the pivot row alone and reduce it modulo the pivot.  A
+    remainder left by either step is smaller than every entry, so it is the
+    next pivot.  A pivot alone in its row and column is a diagonal entry.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(matrix):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
     diagonal: list[int] = []
-    top = 0
-    while True:
-        # Locate the smallest nonzero entry in the remaining block.
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = m[top][top]
-            dirty = False
-            for i in range(top + 1, rows):
-                q = m[i][top] // p
-                if q:
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                if m[i][top]:
-                    # Remainder smaller than the pivot: swap it up and repeat.
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-                    break
-            if dirty:
+    while rows:
+        i = min(rows, key=lambda k: (min(map(abs, rows[k].values())), len(rows[k])))
+        pivot_row = rows[i]
+        j = min(pivot_row, key=lambda c: abs(pivot_row[c]))
+        p = pivot_row[j]
+        remainder = False
+        for k, row in rows.items():
+            if k == i or j not in row:
                 continue
-            for j in range(top + 1, cols):
-                q = m[top][j] // p
-                if q:
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                if m[top][j]:
-                    for row in m:
-                        row[top], row[j] = row[j], row[top]
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            # Pivot must divide every remaining entry for the divisibility chain.
-            offender = None
-            for i in range(top + 1, rows):
-                for j in range(top + 1, cols):
-                    if m[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(top, cols):
-                m[top][j] += m[offender][j]
-        diagonal.append(abs(m[top][top]))
-        top += 1
-        if top >= rows or top >= cols:
-            break
-    return SmithForm(tuple(diagonal), len(diagonal))
+            # |row[j]| >= |p|, so q != 0 and every entry it cancels was present.
+            q = row[j] // p
+            for c, x in pivot_row.items():
+                y = row.get(c, 0) - q * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+            remainder = remainder or j in row
+        rows = {k: row for k, row in rows.items() if row}
+        if remainder:
+            continue
+        for c in list(pivot_row):
+            if c != j:
+                x = pivot_row[c] % p
+                if x:
+                    pivot_row[c] = x
+                else:
+                    del pivot_row[c]
+        if len(pivot_row) == 1:
+            diagonal.append(abs(p))
+            del rows[i]
+    # diag(a, b) ~ diag(gcd, lcm) orders the non-units into a divisibility chain.
+    chain = [d for d in diagonal if d != 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return SmithForm((1,) * (len(diagonal) - len(chain)) + tuple(chain), len(diagonal))
 
 
 def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:

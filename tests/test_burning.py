@@ -15,6 +15,7 @@ from graphburning import (
     burning_map,
     burning_number,
     compose_morphisms,
+    configuration_space,
     enumerate_burnings,
     extremal_path_report,
     identity_morphism,
@@ -137,6 +138,21 @@ def test_all_burnings_satisfy_invariants(g):
 def test_burning_number_of_paths():
     for n in range(1, 13):
         assert burning_number(path_graph(n)) == math.isqrt(n - 1) + 1
+
+
+def test_enumeration_cache_is_bounded_and_reused():
+    # The survey asks each graph for its burnings, burning number and
+    # configuration space in turn: one enumeration, then two cache hits.
+    enumerate_burnings.cache_clear()
+    for n in range(1, 13):
+        g = path_graph(n)
+        enumerate_burnings(g)
+        misses = enumerate_burnings.cache_info().misses
+        burning_number(g)
+        configuration_space(g)
+        info = enumerate_burnings.cache_info()
+        assert (info.misses, info.hits) == (misses, 2 * n)
+    assert enumerate_burnings.cache_info().currsize < 12
 
 
 def test_burning_map_edge_collapse():

@@ -59,6 +59,12 @@ def test_smith_normal_form_known_values():
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == ()
     assert smith_normal_form([[3]]).diagonal == (3,)
     assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]]).diagonal == (2, 2, 60)
+    assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]).diagonal == (1, 30, 30)
+    assert smith_normal_form([[0, 2], [3, 0]]).diagonal == (1, 6)
+    assert smith_normal_form([[-2]]).diagonal == (2,)
+    assert smith_normal_form([]).diagonal == ()
+    assert smith_normal_form([[], []]).diagonal == ()
 
 
 def test_smith_form_rejects_broken_chain():
@@ -77,10 +83,15 @@ def test_invariants_hold_under_optimize_flag():
         assert done.returncode != 0 and "InvariantError" in done.stderr
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-@settings(max_examples=100, deadline=None)
+# Mostly zeros and many units, as in boundary matrices, plus any small integer.
+SPARSE_ENTRIES = st.one_of(st.just(0), st.just(0), st.sampled_from((1, -1)),
+                           st.integers(-9, 9))
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
 def test_smith_vs_minor_gcd_oracle(rows, cols, data):
-    m = [[data.draw(st.integers(-9, 9)) for _ in range(cols)]
+    m = [[data.draw(SPARSE_ENTRIES) for _ in range(cols)]
          for _ in range(rows)]
     assert smith_normal_form(m) == determinantal_divisor_snf(m)
 
