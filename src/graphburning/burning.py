@@ -5,6 +5,11 @@ j-th source ignites at step j and fire spreads one hop per step.  The burned
 region before step j ignites is U_j; a sequence is admissible when each source
 is unburned at its step and the final spread covers the whole graph.  The time
 function lam(v) is the first step at which v burns.
+
+Source sets and the burning number come from one depth-first search memoised
+on the shift-normalised residual state, which visits each state once however
+many orderings reach it.  Every ordered burning is listed lazily only where
+the orderings themselves are wanted (`enumerate_burnings`).
 """
 
 from __future__ import annotations
@@ -175,8 +180,63 @@ def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
     return tuple(_burnings(g))
 
 
+# One result per graph, bounded like the enumeration: the survey asks each
+# graph for its burning number and then its configuration space.
+@lru_cache(maxsize=8)
+def _search(g: Graph) -> tuple[frozenset[int], int]:
+    """Source-set bitmasks of all burnings of g, and their least end time.
+
+    The state before step j is u[v] = max(best[v] - j + 1, 0), where best holds
+    the burn times under the sources so far: u[v] = 0 means v burned before
+    step j, 1 that v burns at step j, and > 1 that v is admissible.  A state
+    with no admissible vertex closes a burning; its end time is j if some
+    u[v] = 1 and j - 1 otherwise.  Subtracting j makes the state independent
+    of how many sources led to it, so each state is searched once and maps to
+    the source sets of its completions and their least end offset.
+
+    In times relative to the current step (u - 1), igniting v is `_ignite` at
+    step 0 followed by a shift of -1.  In u that is one comprehension:
+    u'[w] = min(u[w], d(v, w) + 1) - 1 for unburned w, and 0 for burned w.
+    """
+    dist = distances(g)
+    memo: dict[tuple[float, ...], tuple[set[int], int]] = {}
+
+    def visit(u: tuple[float, ...]) -> tuple[set[int], int]:
+        found = memo.get(u)
+        if found is not None:
+            return found
+        sets: set[int] = set()
+        least: float = INF
+        for v, x in enumerate(u):
+            if x > 1:
+                # min(y, d + 1) - 1 without the call to min.
+                child_sets, child_least = visit(tuple([
+                    (y - 1 if y <= d else d) if y else 0
+                    for y, d in zip(u, dist[v])]))
+                bit = 1 << v
+                sets |= {m | bit for m in child_sets}
+                if child_least < least:
+                    least = child_least
+        if sets:
+            found = (sets, least + 1)
+        else:
+            found = ({0}, 0 if 1 in u else -1)
+        memo[u] = found
+        return found
+
+    masks, least = visit((INF,) * g.vertex_count)
+    return frozenset(masks), least + 1
+
+
+def source_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The distinct source sets of all burnings as sorted tuples, in order."""
+    masks, _ = _search(g)
+    return tuple(sorted(tuple(v for v in g.vertices if m >> v & 1) for m in masks))
+
+
 def burning_number(g: Graph) -> int:
-    return min(b.end_time for b in enumerate_burnings(g))
+    """The least end time over all burnings of g."""
+    return _search(g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +437,21 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
 
 
 def is_burning_extension(embed: GraphMap, max_vertices: int = 10) -> bool:
-    """Whether every source set of the domain extends to one of the codomain."""
+    """Whether every source set of the domain extends to one of the codomain.
+
+    The faces of a configuration space are exactly the subsets of source sets,
+    so this holds iff the image of every facet of conf(H) is a face of conf(G).
+    """
+    from .complexes import configuration_space
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
     g = embed.codomain
     if g.vertex_count > max_vertices:
         raise SizeGuardExceeded(
             f"graph has {g.vertex_count} vertices; cap is {max_vertices}")
-    target_sets = [b.source_set() for b in enumerate_burnings(g)]
-    for b_h in enumerate_burnings(embed.domain):
-        image = frozenset(embed(v) for v in b_h.sources)
-        if not any(image <= s for s in target_sets):
-            return False
-    return True
+    target = configuration_space(g)
+    return all(target.has_face([embed(v) for v in f])
+               for f in configuration_space(embed.domain).facets)
 
 
 # ---------------------------------------------------------------------------

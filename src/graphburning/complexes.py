@@ -1,8 +1,10 @@
 """Finite abstract simplicial complexes stored by their facets.
 
 A complex is a vertex count plus the antichain of inclusion-maximal simplexes;
-all lower faces are derived on demand.  The burning configuration space of a
-graph is the complex generated by the source sets of all its burnings.
+all lower faces are derived on demand.  Generators are absorbed into facets as
+vertex bitmasks.  The burning configuration space of a graph is the complex
+generated by the source sets of all its burnings, which the memoised burning
+search yields without building any ordered burning.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .burning import SizeGuardExceeded, enumerate_burnings
+from .burning import SizeGuardExceeded, source_sets
 from .graphs import Graph
 
 Simplex = tuple[int, ...]
@@ -60,20 +62,39 @@ class SimplicialComplex:
 
 
 def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """The complex generated by arbitrary simplexes; non-maximal ones are absorbed."""
-    sets = {tuple(sorted(set(s))) for s in simplexes}
-    maximal = {s for s in sets
-               if not any(s != t and set(s) <= set(t) for t in sets)}
-    return SimplicialComplex(vertex_count, frozenset(maximal))
+    """The complex generated by arbitrary simplexes; non-maximal ones are absorbed.
+
+    Each generator becomes a vertex bitmask.  Taken largest first, a mask is
+    kept unless a kept one contains it, so the kept masks are the facets.
+    """
+    masks: set[int] = set()
+    for s in simplexes:
+        mask = 0
+        for v in s:
+            if not 0 <= v < vertex_count:
+                raise ComplexError(f"generator vertex {v} out of range")
+            mask |= 1 << v
+        masks.add(mask)
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if mask & k == mask:
+                break
+        else:
+            kept.append(mask)
+    return SimplicialComplex(vertex_count, frozenset(
+        tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+        for mask in kept))
 
 
 def configuration_space(g: Graph) -> SimplicialComplex:
     """The complex on the graph's vertices generated by all burning source sets."""
-    return from_generators(
-        g.vertex_count, [b.sources for b in enumerate_burnings(g)])
+    return from_generators(g.vertex_count, source_sets(g))
 
 
-@lru_cache(maxsize=None)
+# Bounded to hold every degree of the last few complexes: `homology` asks for
+# each degree once per coefficient ring.
+@lru_cache(maxsize=32)
 def faces(c: SimplicialComplex, q: int) -> tuple[Simplex, ...]:
     """All q-dimensional faces in lexicographic order."""
     if q < 0:

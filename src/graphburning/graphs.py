@@ -60,7 +60,8 @@ class Graph:
         return sorted(self.edges)
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-running process does not pin every graph it has seen.
+@lru_cache(maxsize=8)
 def _adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     adj: list[list[int]] = [[] for _ in g.vertices]
     for v, w in g.edges:
@@ -125,6 +126,9 @@ def whole_graph(g: Graph) -> Subgraph:
 # Named families
 
 
+# Every burning map targets a path of its end time; graphs are immutable, so
+# the few end times in use can share one Graph each.
+@lru_cache(maxsize=16)
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("path graph needs n >= 1")
@@ -211,7 +215,7 @@ def build_named(family: str, *params: int) -> Graph:
 # Distances and neighborhoods
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
     """All-pairs shortest hop counts by BFS; unreachable pairs are math.inf."""
     adj = _adjacency(g)

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphburning import (
     Burning,
@@ -23,14 +24,17 @@ from graphburning import (
     is_b_burned,
     is_burning_extension,
     minimal_b_burned_subgraphs,
+    source_sets,
     validate_burning,
     validate_morphism,
 )
+from graphburning.burning import _search
 from graphburning.graphs import (
     Graph,
     Subgraph,
     complete_graph,
     cycle_graph,
+    iterated_sum,
     path_graph,
     validate_graph_map,
     whole_graph,
@@ -125,6 +129,19 @@ def test_enumeration_matches_literal_filtration(g):
                           for v in g.vertices)
             brute.add((seq, times, max(times)))
     assert {(b.sources, b.times, b.end_time) for b in enumerate_burnings(g)} == brute
+    # The memoised search shares no step with this oracle either.
+    assert set(source_sets(g)) == {tuple(sorted(seq)) for seq, _, _ in brute}
+    assert burning_number(g) == min(end for _, _, end in brute)
+
+
+@given(graphs(max_vertices=6))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_enumeration(g):
+    """Source sets and burning number from the memoised residual-state search."""
+    burnings = enumerate_burnings(g)
+    assert set(source_sets(g)) == {tuple(sorted(b.sources)) for b in burnings}
+    assert list(source_sets(g)) == sorted(source_sets(g))
+    assert burning_number(g) == min(b.end_time for b in burnings)
 
 
 @given(graphs(max_vertices=6))
@@ -136,23 +153,41 @@ def test_all_burnings_satisfy_invariants(g):
 
 
 def test_burning_number_of_paths():
-    for n in range(1, 13):
+    for n in range(1, 21):
         assert burning_number(path_graph(n)) == math.isqrt(n - 1) + 1
 
 
+def test_sums_of_edges():
+    """k x P2: one vertex of every edge per source set, all ending at k + 1."""
+    for k in range(1, 8):
+        g = iterated_sum(k, path_graph(2))
+        sets = source_sets(g)
+        assert len(sets) == 2 ** k
+        assert all(sorted(v // 2 for v in s) == list(range(k)) for s in sets)
+        assert len(configuration_space(g).facets) == 2 ** k
+        assert burning_number(g) == k + 1
+
+
 def test_enumeration_cache_is_bounded_and_reused():
-    # The survey asks each graph for its burnings, burning number and
-    # configuration space in turn: one enumeration, then two cache hits.
-    enumerate_burnings.cache_clear()
+    # The survey asks each graph for its burning number and then its
+    # configuration space: one search, then one cache hit.
+    _search.cache_clear()
     for n in range(1, 13):
         g = path_graph(n)
-        enumerate_burnings(g)
-        misses = enumerate_burnings.cache_info().misses
         burning_number(g)
+        info = _search.cache_info()
+        assert (info.misses, info.hits) == (n, n - 1)
         configuration_space(g)
-        info = enumerate_burnings.cache_info()
-        assert (info.misses, info.hits) == (misses, 2 * n)
-    assert enumerate_burnings.cache_info().currsize < 12
+        info = _search.cache_info()
+        assert (info.misses, info.hits) == (n, n)
+    assert _search.cache_info().currsize < 12
+    # The ordered listing keeps its own bounded cache.
+    enumerate_burnings.cache_clear()
+    for n in range(1, 13):
+        enumerate_burnings(path_graph(n))
+        enumerate_burnings(path_graph(n))
+    info = enumerate_burnings.cache_info()
+    assert (info.hits, info.misses) == (12, 12) and info.currsize < 12
 
 
 def test_burning_map_edge_collapse():
@@ -280,6 +315,29 @@ def test_extension_path_into_longer_path():
     b_g = admits_extension(b_h, embed, g)
     assert b_g is not None and b_g.sources[0] == 1
     assert is_burning_extension(embed)
+
+
+@st.composite
+def embeddings(draw):
+    """An injective graph map from a random subgraph into a small graph."""
+    g = draw(graphs(max_vertices=6))
+    labels = draw(st.permutations(range(g.vertex_count)))
+    labels = labels[:draw(st.integers(1, g.vertex_count))]
+    pairs = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))
+             if g.has_edge(labels[i], labels[j])]
+    h = Graph.from_edges(len(labels), draw(st.sets(st.sampled_from(pairs)))
+                         if pairs else ())
+    return validate_graph_map(labels, h, g)
+
+
+@given(embeddings())
+@settings(max_examples=60, deadline=None)
+def test_extension_matches_source_set_definition(embed):
+    """Facets of conf(H) against every ordered burning of both graphs."""
+    target = [b.source_set() for b in enumerate_burnings(embed.codomain)]
+    expected = all(any({embed(v) for v in b.sources} <= s for s in target)
+                   for b in enumerate_burnings(embed.domain))
+    assert is_burning_extension(embed) == expected
 
 
 def test_extension_size_guard():

@@ -46,6 +46,33 @@ def test_from_generators_absorbs_faces():
     assert c.dimension == 2
 
 
+def absorb_literally(simplexes):
+    """The maximal sets among the generators, by pairwise comparison."""
+    sets = {tuple(sorted(set(s))) for s in simplexes}
+    return {s for s in sets if not any(s != t and set(s) <= set(t) for t in sets)}
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=5), max_size=12))))
+@settings(max_examples=200, deadline=None)
+def test_from_generators_matches_literal_absorption(case):
+    n, generators = case
+    generators = generators + [[v] for v in range(n)]
+    assert from_generators(n, generators).facets == absorb_literally(generators)
+
+
+def test_from_generators_errors():
+    with pytest.raises(ComplexError):
+        from_generators(3, [()])  # empty generator
+    with pytest.raises(ComplexError):
+        from_generators(3, [(0, 1, 2), (-1,)])
+    with pytest.raises(ComplexError):
+        from_generators(3, [(0, 1, 2), (1, 3)])
+    with pytest.raises(ComplexError):
+        from_generators(3, [(0, 1)])  # vertex 2 uncovered
+    assert from_generators(2, [(), (0, 1)]).facets == {(0, 1)}
+
+
 def test_faces_of_full_triangle():
     assert faces(FULL_TRIANGLE, 0) == ((0,), (1,), (2,))
     assert faces(FULL_TRIANGLE, 1) == ((0, 1), (0, 2), (1, 2))
@@ -53,6 +80,18 @@ def test_faces_of_full_triangle():
     assert faces(FULL_TRIANGLE, 3) == ()
     assert FULL_TRIANGLE.has_face((0, 2))
     assert not HOLLOW_TRIANGLE.has_face((0, 1, 2))
+
+
+def test_faces_cache_is_bounded_and_reused():
+    faces.cache_clear()
+    spaces = [from_generators(n, [(v,) for v in range(n)]) for n in range(1, 41)]
+    for c in spaces:
+        faces(c, 0)
+    hits = faces.cache_info().hits
+    assert faces(spaces[-1], 0) == tuple((v,) for v in range(40))
+    info = faces.cache_info()
+    assert info.hits == hits + 1
+    assert info.currsize < len(spaces)
 
 
 def test_skeleton():

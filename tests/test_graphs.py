@@ -28,7 +28,7 @@ from graphburning import (
     validate_graph_map,
     whole_graph,
 )
-from graphburning.graphs import format_graph_text
+from graphburning.graphs import _adjacency, format_graph_text
 
 from conftest import graphs
 
@@ -103,6 +103,27 @@ def test_iterated_sum():
     g = iterated_sum(3, path_graph(2))
     assert g.vertex_count == 6
     assert g.sorted_edges() == [(0, 1), (2, 3), (4, 5)]
+
+
+def test_graph_caches_are_bounded_and_reused():
+    # A long run sees many graphs; the caches keep only the last few, and a
+    # graph asked for again while it is still held is not recomputed.
+    caches = (distances, _adjacency, path_graph)
+    for cache in caches:
+        cache.cache_clear()
+    for n in range(1, 21):
+        g = cycle_graph(n + 2)
+        distances(g)
+        g.neighbors(0)
+        path_graph(n)
+    hits = [cache.cache_info().hits for cache in caches]
+    distances(g)
+    assert g.neighbors(0) == (1, n + 1)
+    assert path_graph(n) is path_graph(n)
+    for cache, before in zip(caches, hits):
+        info = cache.cache_info()
+        assert info.hits > before
+        assert info.currsize < 20
 
 
 def test_closed_neighborhood_is_distance_ball():
