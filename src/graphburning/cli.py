@@ -25,7 +25,7 @@ from .burning import (
 )
 from .complexes import configuration_space
 from .graphs import Graph, GraphError, build_named, iterated_sum, parse_graph_text
-from .homology import homology, homology_to_record
+from .homology import homology, homology_to_record, parse_coeff
 from .verify import CHECKS, run_checks
 
 SCHEMA = 1
@@ -146,6 +146,10 @@ def cmd_complex(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    try:
+        parse_coeff(args.coeff)  # before the search, which can take seconds
+    except ValueError as exc:
+        raise UsageError(f"bad --coeff: {exc}") from None
     g = load_graph(args.graph)
     c = configuration_space(g)
     groups = homology(c, reduced=args.reduced, coeff=args.coeff)
@@ -243,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="homology of the burning configuration space")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--coeff", default="z", metavar="z|q|p:N",
-                   help="coefficients: z (integers), q (rationals), p:N (mod N)")
+                   help="coefficients: z (integers), q (rationals), "
+                        "p:N (integers mod N; N must be prime)")
     p = with_graph("minimal-subgraphs", cmd_minimal_subgraphs,
                    help="minimal subgraphs burned compatibly with a burning")
     p.add_argument("sources")

@@ -1,12 +1,13 @@
-"""Exact matrix reduction: integer Smith normal form and field elimination.
+"""Exact matrix reduction: integer Smith normal form and sparse field echelon.
 
-Matrices are lists of row lists.  Integer work uses Python's arbitrary
-precision ints throughout.  The Smith form converts its input to sparse rows
-({column: value}, zeros dropped) and reduces them in one elimination loop, so
-each pivot costs work in the nonzero entries rather than the matrix's area.
-Homology over every coefficient ring is read off the integer Smith form by
-universal coefficients; field elimination (Fraction for the rationals, ints
-mod p for prime fields) serves induced maps and `matrix_rank_over`.
+Sparse vectors are dicts {index: value} with zeros dropped, and a sparse
+matrix is a list of them.  The Smith form reads its input as rows, given
+either as such dicts or as dense lists, and reduces them in one elimination
+loop on Python's arbitrary precision ints, so each pivot costs work in the
+nonzero entries rather than the matrix's area.  Homology over every
+coefficient ring is read off the integer Smith form by universal
+coefficients; `FieldEchelon` (Fraction entries for the rationals, ints mod p
+for prime fields) serves induced maps and `matrix_rank_over`.
 """
 
 from __future__ import annotations
@@ -14,31 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from collections.abc import Mapping, Sequence
 
-Matrix = list[list[int]]
+Vector = dict[int, int]
 
 
 class InvariantError(AssertionError):
     """A structural invariant failed; raised explicitly so `python -O` keeps it."""
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik:
-                row_b = b[k]
-                row_o = out[i]
-                for j in range(cols):
-                    row_o[j] += aik * row_b[j]
-    return out
+def apply_columns(columns: Sequence[Mapping[int, int]], vector: Mapping) -> dict:
+    """The sparse product M v of a matrix given by its columns and a vector."""
+    out: dict = {}
+    for j, x in vector.items():
+        for i, y in columns[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -55,8 +47,12 @@ class SmithForm:
             raise InvariantError(f"rank {self.rank} != diagonal length {len(self.diagonal)}")
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
+def smith_normal_form(matrix: Sequence[Sequence[int] | Mapping[int, int]]) -> SmithForm:
     """Exact Smith normal form by one elimination on sparse rows.
+
+    The rows are dense lists or sparse {column: value} dicts; the input is
+    copied, never changed.  Passing the columns of D as rows reduces its
+    transpose, which has the same Smith form.
 
     Each step pivots on a nonzero entry of least absolute value, preferring
     the lightest row, so the unit entries of a boundary matrix go first.  Row
@@ -67,7 +63,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """
     rows: dict[int, dict[int, int]] = {}
     for i, row in enumerate(matrix):
-        entries = {j: x for j, x in enumerate(row) if x}
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        entries = {j: x for j, x in items if x}
         if entries:
             rows[i] = entries
     diagonal: list[int] = []
@@ -153,101 +150,69 @@ def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(tuple(diagonal), len(diagonal))
 
 
-# ---------------------------------------------------------------------------
-# Field elimination (rationals or a prime field)
+class FieldEchelon:
+    """A sparse row echelon basis over Q (p = 0) or the prime field F_p.
 
+    Entries are Fractions over Q and ints in 0..p-1 over F_p.  Each row has a
+    distinct pivot, its least index, scaled to 1.  Every inserted vector
+    carries a tag, and each row carries the combination of tags that matches
+    its combination of inserted vectors.  Tagging column j of a matrix with
+    e_j makes the relation returned for a dependent column a kernel vector;
+    tagging boundaries with 0 and the k-th independent cycle with e_k makes
+    the combination `reduce` returns for a cycle its homology coordinates.
+    """
 
-class FieldOps:
-    """Arithmetic over Q (p=None) or the prime field of order p."""
-
-    def __init__(self, p: int | None = None):
-        if p is not None:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise ValueError(f"{p} is not prime")
+    def __init__(self, p: int = 0):
         self.p = p
+        self.rows: dict[int, tuple[dict, dict]] = {}
 
-    def convert(self, x: int):
-        return x % self.p if self.p else Fraction(x)
+    def _convert(self, vector: Mapping, factor=1) -> dict:
+        p = self.p
+        entries = ((k, x * factor % p if p else Fraction(x * factor))
+                   for k, x in vector.items())
+        return {k: x for k, x in entries if x}
 
-    def is_zero(self, x) -> bool:
-        return x == 0
+    def _add_multiple(self, target: dict, factor, source: Mapping) -> None:
+        """target += factor * source, in place, dropping zeros."""
+        p = self.p
+        for k, x in source.items():
+            y = target.get(k, 0) + factor * x
+            if p:
+                y %= p
+            if y:
+                target[k] = y
+            else:
+                del target[k]
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+    def reduce(self, vector: Mapping) -> tuple[dict, dict]:
+        """Subtract rows until the least index left is no pivot.
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        Returns the remainder, empty iff the vector lies in the span, and the
+        combination of row tags matching the rows subtracted.
+        """
+        v, combination = self._convert(vector), {}
+        while v:
+            k = min(v)
+            if k not in self.rows:
+                break
+            row, tag = self.rows[k]
+            f = v[k]
+            self._add_multiple(v, -f, row)
+            self._add_multiple(combination, f, tag)
+        return v, combination
 
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+    def insert(self, vector: Mapping, tag: Mapping) -> dict | None:
+        """Add the vector as a row and return None, if it is independent.
 
-    def div(self, a, b):
-        if self.p:
-            return (a * pow(b, -1, self.p)) % self.p
-        return a / b
-
-
-def rref(matrix: Sequence[Sequence[int]], ops: FieldOps):
-    """Reduced row echelon form over the field; returns (rows, pivot columns)."""
-    m = [[ops.convert(x) for x in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not ops.is_zero(m[i][c])), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [ops.div(x, inv) for x in m[r]]
-        for i in range(rows):
-            if i != r and not ops.is_zero(m[i][c]):
-                factor = m[i][c]
-                m[i] = [ops.sub(a, ops.mul(factor, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def field_rank(matrix: Sequence[Sequence[int]], ops: FieldOps) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix, ops)[1])
-
-
-def nullspace(matrix: Sequence[Sequence[int]], ops: FieldOps) -> list[list]:
-    """Basis column vectors of the kernel (each returned as a list)."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    if cols == 0:
-        return []
-    reduced, pivots = rref(matrix, ops)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ops.convert(0)] * cols
-        vec[f] = ops.convert(1)
-        for r, c in enumerate(pivots):
-            vec[c] = ops.sub(ops.convert(0), reduced[r][f])
-        basis.append(vec)
-    return basis
-
-
-def solve_in_span(columns: list[list], target: list, ops: FieldOps) -> list | None:
-    """Coordinates of target in the span of the columns, or None."""
-    if not columns:
-        return [] if all(ops.is_zero(x) for x in target) else None
-    n = len(target)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(n)]
-    reduced, pivots = rref(aug, ops)
-    k = len(columns)
-    if k in pivots:
+        Otherwise add nothing and return the tag of the relation found: the
+        vector's tag less the tags of the rows that reduced it to zero.
+        """
+        v, combination = self.reduce(vector)
+        t = self._convert(tag)
+        self._add_multiple(t, -1, combination)
+        if not v:
+            return t
+        k = min(v)
+        inverse = pow(v[k], -1, self.p) if self.p else 1 / v[k]
+        self.rows[k] = (self._convert(v, inverse), self._convert(t, inverse))
         return None
-    coords = [ops.convert(0)] * k
-    for r, c in enumerate(pivots):
-        coords[c] = reduced[r][k]
-    return coords

@@ -2,28 +2,27 @@
 
 Simplexes are stored with ascending vertices; the boundary of [u_0 < ... < u_q]
 is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
-u_i.  Homology over Z, Q and F_p all comes from one integer Smith normal form
-per boundary: by universal coefficients a boundary's rank over Q is the length
-of its Smith diagonal and over F_p the number of entries p does not divide.
-Field elimination serves only induced maps and `matrix_rank_over`.
+u_i.  Each boundary is stored once, as sparse columns {face index: sign} on
+the lexicographic face bases, and every consumer reads that one form.
+Homology over Z, Q and F_p all comes from one integer Smith normal form per
+boundary: by universal coefficients a boundary's rank over Q is the length of
+its Smith diagonal and over F_p the number of entries p does not divide.
+Induced maps and `matrix_rank_over` use the sparse field echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap, faces
 from .exactlinalg import (
-    FieldOps,
+    FieldEchelon,
     InvariantError,
-    Matrix,
-    field_rank,
-    mat_mul,
-    nullspace,
+    Vector,
+    apply_columns,
     smith_normal_form,
-    solve_in_span,
-    zeros,
 )
 
 
@@ -31,22 +30,21 @@ from .exactlinalg import (
 class ChainComplexZ:
     """Integer chain complex; boundaries[q] maps degree q to degree q-1.
 
-    When augmented, degree -1 has rank 1 and the degree-0 boundary is the
-    all-ones augmentation row.
+    boundaries[q][j] is the boundary of the j-th q-face as a sparse column
+    {index of a (q-1)-face: sign}.  When augmented, degree -1 has rank 1 and
+    every vertex's column is {0: 1}.
     """
 
     dims: tuple[int, ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
+    boundaries: tuple[list[Vector], ...]
     augmented: bool
 
     def dim(self, q: int) -> int:
         return self.dims[q] if 0 <= q < len(self.dims) else 0
 
-    def boundary(self, q: int) -> Matrix:
-        """The matrix of the boundary out of degree q (rows: degree q-1)."""
-        if 0 <= q < len(self.boundaries):
-            return [list(row) for row in self.boundaries[q]]
-        return zeros(self.dim(q - 1), self.dim(q))
+    def boundary(self, q: int) -> list[Vector]:
+        """The sparse columns of the boundary out of degree q, not copied."""
+        return self.boundaries[q] if 0 <= q < len(self.boundaries) else []
 
 
 def boundary_of(simplex: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -59,37 +57,22 @@ def boundary_of(simplex: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
 
 
 def chain_complex(c: SimplicialComplex, augmented: bool = False) -> ChainComplexZ:
-    """Build the boundary matrices on the canonical lexicographic face bases."""
-    top = c.dimension
-    bases = [faces(c, q) for q in range(top + 1)]
-    dims = tuple(len(b) for b in bases)
-    boundaries: list[Matrix] = []
-    if augmented:
-        boundaries.append([[1] * dims[0]])
-    else:
-        boundaries.append(zeros(0, dims[0]))
-    for q in range(1, top + 1):
-        index = {s: i for i, s in enumerate(bases[q - 1])}
-        matrix = zeros(dims[q - 1], dims[q])
-        for j, simplex in enumerate(bases[q]):
-            for face, sign in boundary_of(simplex):
-                matrix[index[face]][j] = sign
-        boundaries.append(matrix)
-    cc = ChainComplexZ(
-        dims,
-        tuple(tuple(tuple(row) for row in m) for m in boundaries),
-        augmented)
+    """Build the sparse boundary columns on the canonical lexicographic face bases."""
+    bases = [faces(c, q) for q in range(c.dimension + 1)]
+    boundaries = [[{0: 1} if augmented else {} for _ in bases[0]]]
+    for lower, upper in zip(bases, bases[1:]):
+        index = {s: i for i, s in enumerate(lower)}
+        boundaries.append([{index[face]: sign for face, sign in boundary_of(simplex)}
+                           for simplex in upper])
+    cc = ChainComplexZ(tuple(len(b) for b in bases), tuple(boundaries), augmented)
     _assert_square_zero(cc)
     return cc
 
 
 def _assert_square_zero(cc: ChainComplexZ) -> None:
     for q in range(1, len(cc.dims)):
-        lower, upper = cc.boundary(q - 1), cc.boundary(q)
-        if not lower or not upper or not upper[0]:
-            continue
-        product = mat_mul(lower, upper)
-        if any(any(row) for row in product):
+        lower = cc.boundary(q - 1)
+        if any(apply_columns(lower, column) for column in cc.boundary(q)):
             raise InvariantError(f"boundary squared is nonzero out of degree {q}")
 
 
@@ -120,15 +103,20 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _parse_coeff(coeff: str) -> FieldOps | None:
-    """None means integer coefficients; otherwise a field."""
+def parse_coeff(coeff: str) -> int | None:
+    """The coefficient ring of a spec: None for Z, 0 for Q, p for F_p."""
     if coeff == "z":
         return None
     if coeff == "q":
-        return FieldOps(None)
-    if coeff.startswith("p:"):
-        return FieldOps(int(coeff[2:]))
-    raise ValueError(f"unknown coefficient spec {coeff!r}; use z, q, or p:<prime>")
+        return 0
+    digits = coeff[2:] if coeff.startswith("p:") else ""
+    if not digits.isdecimal():
+        raise ValueError(f"unknown coefficient spec {coeff!r}; "
+                         "use z, q, or p:N with N prime")
+    p = int(digits)
+    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def homology(c: SimplicialComplex, reduced: bool = False,
@@ -140,15 +128,15 @@ def homology(c: SimplicialComplex, reduced: bool = False,
     length, over F_p the count of entries p does not divide.  Over Z the
     torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
     """
-    field = _parse_coeff(coeff)
-    p = field.p if field else None
+    p = parse_coeff(coeff)
     cc = chain_complex(c, augmented=reduced)
     top = len(cc.dims) - 1
+    # The columns of d_q are the rows of its transpose, which has the same Smith form.
     diagonals = [smith_normal_form(cc.boundary(q)).diagonal for q in range(top + 2)]
     ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
     return [HomologyGroup(
         cc.dim(q) - ranks[q] - ranks[q + 1],
-        () if field else tuple(d for d in diagonals[q + 1] if d > 1))
+        () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
         for q in range(top + 1)]
 
 
@@ -157,15 +145,16 @@ def euler_characteristic(c: SimplicialComplex) -> int:
 
 
 def homology_to_record(groups: Sequence[HomologyGroup], coeff: str = "z") -> list[dict]:
+    p = parse_coeff(coeff)
     records = []
     for q, g in enumerate(groups):
         entry: dict = {"degree": q, "free_rank": g.free_rank,
                        "torsion": list(g.torsion)}
-        if coeff == "q":
+        if p == 0:
             entry["field"] = "Q"
-        elif coeff.startswith("p:"):
+        elif p:
             entry["field"] = "Fp"
-            entry["p"] = int(coeff[2:])
+            entry["p"] = p
         records.append(entry)
     return records
 
@@ -174,19 +163,20 @@ def homology_to_record(groups: Sequence[HomologyGroup], coeff: str = "z") -> lis
 # Induced maps on homology with field coefficients
 
 
-def chain_map_matrix(f: SimplicialMap, q: int) -> Matrix:
-    """Degree-q chain map: image with orientation sign, 0 on collapsed simplexes."""
+def chain_map_matrix(f: SimplicialMap, q: int) -> list[Vector]:
+    """Degree-q chain map as sparse columns: image with orientation sign, 0 on
+    collapsed simplexes."""
     source = faces(f.domain, q) if q <= f.domain.dimension else ()
     target = faces(f.codomain, q) if q <= f.codomain.dimension else ()
     index = {s: i for i, s in enumerate(target)}
-    matrix = zeros(len(target), len(source))
-    for j, simplex in enumerate(source):
+    columns: list[Vector] = []
+    for simplex in source:
         images = [f(v) for v in simplex]
         if len(set(images)) < len(images):
-            continue
-        sign = _permutation_sign(images)
-        matrix[index[tuple(sorted(images))]][j] = sign
-    return matrix
+            columns.append({})
+        else:
+            columns.append({index[tuple(sorted(images))]: _permutation_sign(images)})
+    return columns
 
 
 def _permutation_sign(values: Sequence[int]) -> int:
@@ -199,91 +189,63 @@ def _permutation_sign(values: Sequence[int]) -> int:
     return sign
 
 
-def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> Matrix:
+def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> list[list]:
     """The induced matrix between homology bases in the given degree.
 
     Field coefficients only; integer (torsion) coefficients are rejected.
     """
-    field = _parse_coeff(coeff)
-    if field is None:
+    p = parse_coeff(coeff)
+    if p is None:
         raise ValueError("induced maps support field coefficients only (q or p:<prime>)")
-    # The chain map must commute with the boundaries.
     src_cc = chain_complex(f.domain)
     dst_cc = chain_complex(f.codomain)
+    # The chain map must commute with the boundaries.
     for q in (degree, degree + 1):
         if q < 1:
             continue
         upper = chain_map_matrix(f, q)
         lower = chain_map_matrix(f, q - 1)
-        d_src = src_cc.boundary(q)
         d_dst = dst_cc.boundary(q)
-        if d_src and d_src[0] and lower and d_dst and upper and upper[0]:
-            if mat_mul(lower, d_src) != mat_mul(d_dst, upper):
-                raise InvariantError("chain map does not commute with boundaries")
-    src_basis = _HomologyBasis(f.domain, degree, field)
-    dst_basis = _HomologyBasis(f.codomain, degree, field)
+        if any(apply_columns(lower, column) != apply_columns(d_dst, upper[j])
+               for j, column in enumerate(src_cc.boundary(q))):
+            raise InvariantError("chain map does not commute with boundaries")
+    _, cycles = _homology_basis(src_cc, degree, p)
+    span, target_cycles = _homology_basis(dst_cc, degree, p)
     cm = chain_map_matrix(f, degree)
-    out = []
-    for cycle in src_basis.representatives:
-        image = [sum(cm[i][j] * cycle[j] for j in range(len(cycle)))
-                 for i in range(len(cm))] if cm else []
-        coords = dst_basis.coordinates(image, field)
-        out.append(coords)
-    # Transpose: rows indexed by target basis, columns by source basis.
-    rows = len(dst_basis.representatives)
-    matrix = [[out[j][i] for j in range(len(out))] for i in range(rows)]
+    # Rows indexed by the target basis, columns by the source basis.
+    matrix = [[0 if p else Fraction(0)] * len(cycles) for _ in target_cycles]
+    for j, cycle in enumerate(cycles):
+        remainder, coords = span.reduce(apply_columns(cm, cycle))
+        if remainder:
+            raise InvariantError("the image of a cycle is not a cycle")
+        for i, x in coords.items():
+            matrix[i][j] = x
     return matrix
 
 
-def matrix_rank_over(matrix: Matrix, coeff: str = "q") -> int:
-    field = _parse_coeff(coeff)
-    if field is None:
+def matrix_rank_over(matrix: Sequence[Sequence], coeff: str = "q") -> int:
+    p = parse_coeff(coeff)
+    if p is None:
         raise ValueError("field coefficients only")
-    return field_rank(matrix, field)
+    echelon = FieldEchelon(p)
+    for row in matrix:
+        echelon.insert(dict(enumerate(row)), {})
+    return len(echelon.rows)
 
 
-class _HomologyBasis:
-    """Cycle representatives spanning homology, with a coordinate solver."""
-
-    def __init__(self, c: SimplicialComplex, degree: int, field: FieldOps):
-        cc = chain_complex(c)
-        d_q = cc.boundary(degree)
-        d_next = cc.boundary(degree + 1)
-        n = cc.dim(degree)
-        if n == 0:
-            self.boundaries: list[list] = []
-            self.representatives: list[list] = []
-            return
-        if d_q and d_q[0]:
-            cycles = nullspace(d_q, field)
-        else:
-            cycles = [[field.convert(1 if i == j else 0) for i in range(n)]
-                      for j in range(n)]
-        boundaries = []
-        if d_next and d_next[0]:
-            cols = len(d_next[0])
-            for j in range(cols):
-                boundaries.append([field.convert(d_next[i][j]) for i in range(n)])
-        # Keep the boundary columns that are independent, then extend by cycles.
-        chosen: list[list] = []
-        for vec in boundaries:
-            if solve_in_span(chosen, vec, field) is None:
-                chosen.append(vec)
-        self.boundaries = chosen
-        self.representatives = []
-        span = list(chosen)
-        for vec in cycles:
-            if solve_in_span(span, vec, field) is None:
-                span.append(vec)
-                self.representatives.append(vec)
-
-    def coordinates(self, vector: Sequence, field: FieldOps) -> list:
-        """Homology-class coordinates of a cycle in this basis."""
-        vec = [field.convert(x) if isinstance(x, int) else x for x in vector]
-        if not self.representatives:
-            return []
-        coords = solve_in_span(self.boundaries + self.representatives, vec, field)
-        if coords is None:
-            raise InvariantError("vector is not a cycle in the stored space")
-        k = len(self.boundaries)
-        return coords[k:]
+def _homology_basis(cc: ChainComplexZ, degree: int,
+                    p: int) -> tuple[FieldEchelon, list[dict]]:
+    """Cycles whose classes are a basis of homology over Q or F_p, and an
+    echelon of the boundaries and those cycles; its `reduce` gives a cycle's
+    coordinates in that basis."""
+    kernel = FieldEchelon(p)
+    cycles = [relation for j, column in enumerate(cc.boundary(degree))
+              if (relation := kernel.insert(column, {j: 1})) is not None]
+    span = FieldEchelon(p)
+    for column in cc.boundary(degree + 1):
+        span.insert(column, {})
+    representatives: list[dict] = []
+    for cycle in cycles:
+        if span.insert(cycle, {len(representatives): 1}) is None:
+            representatives.append(cycle)
+    return span, representatives

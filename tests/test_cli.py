@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from graphburning import configuration_space, parse_graph_text, path_graph
+from graphburning import InvariantError, configuration_space, parse_graph_text, path_graph
+from graphburning import cli, verify
 from graphburning.cli import UsageError, load_graph, main, parse_sources
 
 
@@ -81,6 +82,16 @@ def test_homology_command(capsys):
     assert out.splitlines() == ["H~_0 = 0", "H~_1 = Z", "H~_2 = 0"]
 
 
+def test_homology_rejects_bad_coefficients_before_the_search(capsys, monkeypatch):
+    searched = []
+    monkeypatch.setattr(cli, "configuration_space", searched.append)
+    for coeff, message in (("p:6", "6 is not prime"), ("p:x", "'p:x'"),
+                           ("p:", "'p:'"), ("r", "'r'")):
+        code, out, err = run(capsys, "homology", "path:22", "--coeff", coeff)
+        assert code == 2 and not out and message in err, coeff
+    assert searched == []
+
+
 def test_minimal_subgraphs_command(capsys):
     text = "n 7\n0 1\n1 2\n1 3\n1 4\n2 5\n3 5\n4 5\n5 6\n"
     code, out, _ = run(capsys, "minimal-subgraphs", text, "0,5")
@@ -98,6 +109,18 @@ def test_verify_command(capsys):
     assert code == 0 and out.count("PASS") == 2
     code, _, err = run(capsys, "verify", "bogus-check")
     assert code == 2 and "unknown check" in err
+
+
+@pytest.mark.parametrize("name", ["chain_complex", "burning_map"])
+def test_verify_reports_broken_invariant_as_failure(capsys, monkeypatch, name):
+    def broken(*args, **kwargs):
+        raise InvariantError("deliberately broken")
+
+    monkeypatch.setattr(verify, name, broken)
+    code, out, _ = run(capsys, "--format", "json", "verify", "property-suites")
+    check = json.loads(out)["checks"][0]
+    assert code == 1 and check["status"] == "fail"
+    assert "deliberately broken" in json.dumps(check["details"])
 
 
 def test_usage_errors(capsys):

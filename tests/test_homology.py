@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from graphburning import (
     SimplicialComplex,
     SmithForm,
     chain_complex,
+    compose_simplicial_maps,
     configuration_space,
+    cycle_graph,
     euler_characteristic,
     from_generators,
     homology,
@@ -25,18 +28,20 @@ from graphburning import (
     suspension,
     validate_simplicial_map,
 )
-from graphburning.exactlinalg import (
+from graphburning.exactlinalg import FieldEchelon, determinantal_divisor_snf
+from graphburning.homology import boundary_of, chain_map_matrix, homology_to_record
+
+from conftest import complexes
+from elimination import (
     FieldOps,
-    determinantal_divisor_snf,
+    dense,
+    dense_columns,
     field_rank,
     mat_mul,
     nullspace,
     rref,
     solve_in_span,
 )
-from graphburning.homology import boundary_of, chain_map_matrix, homology_to_record
-
-from conftest import complexes
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({(0, 1), (0, 2), (1, 2)}))
 FULL_TRIANGLE = SimplicialComplex(3, frozenset({(0, 1, 2)}))
@@ -96,6 +101,27 @@ def test_smith_vs_minor_gcd_oracle(rows, cols, data):
     assert smith_normal_form(m) == determinantal_divisor_snf(m)
 
 
+@given(st.integers(0, 5), st.integers(0, 5), st.sampled_from(["q", "p:2", "p:3"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_field_echelon_matches_dense_elimination(rows, cols, coeff, data):
+    m = [[data.draw(SPARSE_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    p = 0 if coeff == "q" else int(coeff[2:])
+    ops = FieldOps(p or None)
+    rank = field_rank(m, ops)
+    assert matrix_rank_over(m, coeff) == rank
+    # Tagging column j with e_j turns each dependent column into a kernel vector.
+    echelon = FieldEchelon(p)
+    kernel = [relation for j in range(cols)
+              if (relation := echelon.insert({i: m[i][j] for i in range(rows)}, {j: 1}))
+              is not None]
+    assert len(kernel) == cols - rank and len(echelon.rows) == rank
+    for vector in kernel:
+        for row in m:
+            total = sum(row[j] * x for j, x in vector.items())
+            assert (total % p if p else total) == 0
+
+
 def test_field_ops():
     q = FieldOps()
     f5 = FieldOps(5)
@@ -129,15 +155,16 @@ def test_boundary_signs():
 def test_chain_complex_of_hollow_triangle():
     cc = chain_complex(HOLLOW_TRIANGLE)
     assert cc.dims == (3, 3)
-    assert cc.boundary(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-    assert cc.boundary(0) == []
-    assert cc.boundary(5) == []
+    assert cc.boundary(1) == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert dense(cc, 1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert dense(cc, 0) == []
+    assert dense(cc, 5) == []
 
 
 def test_augmented_chain_complex():
     cc = chain_complex(HOLLOW_TRIANGLE, augmented=True)
-    assert cc.boundary(0) == [[1, 1, 1]]
-    product = mat_mul(cc.boundary(0), cc.boundary(1))
+    assert dense(cc, 0) == [[1, 1, 1]]
+    product = mat_mul(dense(cc, 0), dense(cc, 1))
     assert all(x == 0 for row in product for x in row)
 
 
@@ -146,7 +173,7 @@ def test_augmented_chain_complex():
 def test_boundary_squared_zero(c):
     cc = chain_complex(c)
     for q in range(1, len(cc.dims)):
-        lower, upper = cc.boundary(q - 1), cc.boundary(q)
+        lower, upper = dense(cc, q - 1), dense(cc, q)
         if lower and upper and upper[0]:
             assert all(x == 0 for row in mat_mul(lower, upper) for x in row)
 
@@ -213,8 +240,8 @@ def _elimination_free_ranks(c, reduced, coeff):
     """Oracle: dim(q) - rank(d_q) - rank(d_{q+1}) by field elimination."""
     ops = FieldOps(None if coeff == "q" else int(coeff[2:]))
     cc = chain_complex(c, augmented=reduced)
-    return [cc.dim(q) - field_rank(cc.boundary(q), ops)
-            - field_rank(cc.boundary(q + 1), ops) for q in range(len(cc.dims))]
+    return [cc.dim(q) - field_rank(dense(cc, q), ops)
+            - field_rank(dense(cc, q + 1), ops) for q in range(len(cc.dims))]
 
 
 def _assert_field_ranks_match_elimination(c):
@@ -284,14 +311,13 @@ def test_path_spaces_match_kozlov():
 def test_chain_map_collapse():
     point = SimplicialComplex(1, frozenset({(0,)}))
     squash = validate_simplicial_map((0, 0, 0), HOLLOW_TRIANGLE, point)
-    assert chain_map_matrix(squash, 1) == []
-    assert chain_map_matrix(squash, 0) == [[1, 1, 1]]
+    assert dense_columns(chain_map_matrix(squash, 1), 0) == []
+    assert dense_columns(chain_map_matrix(squash, 0), 1) == [[1, 1, 1]]
 
 
 def test_induced_map_rotation_and_reflection():
     rotate = validate_simplicial_map((1, 2, 0), HOLLOW_TRIANGLE, HOLLOW_TRIANGLE)
     reflect = validate_simplicial_map((0, 2, 1), HOLLOW_TRIANGLE, HOLLOW_TRIANGLE)
-    from fractions import Fraction
     assert induced_map(rotate, 1) == [[Fraction(1)]]
     assert induced_map(reflect, 1) == [[Fraction(-1)]]
     assert matrix_rank_over(induced_map(rotate, 1)) == 1
@@ -309,3 +335,70 @@ def test_induced_map_mod_two():
     assert induced_map(ident, 1, coeff="p:2") == [[1]]
     with pytest.raises(ValueError):
         induced_map(ident, 1, coeff="z")
+
+
+def _symmetries_and_constants():
+    """Self-maps: the rotations and reflections of conf(C_n) for n = 4..9, the
+    reflection of conf(P_n) for n = 2..11, and a constant map on each."""
+    for n in range(4, 10):
+        c = configuration_space(cycle_graph(n))
+        for k in range(n):
+            yield validate_simplicial_map(tuple((v + k) % n for v in range(n)), c, c)
+            yield validate_simplicial_map(tuple((k - v) % n for v in range(n)), c, c)
+        yield validate_simplicial_map((0,) * n, c, c)
+    for n in range(2, 12):
+        c = configuration_space(path_graph(n))
+        yield validate_simplicial_map(tuple(range(n - 1, -1, -1)), c, c)
+        yield validate_simplicial_map((n - 1,) * n, c, c)
+
+
+def _trace(matrix):
+    return sum(matrix[i][i] for i in range(len(matrix)))
+
+
+@pytest.mark.parametrize("coeff", ["q", "p:2", "p:3"])
+def test_hopf_trace_formula(coeff):
+    """The alternating sum of traces is the same on homology and on chains."""
+    p = 0 if coeff == "q" else int(coeff[2:])
+    for f in _symmetries_and_constants():
+        degrees = range(f.domain.dimension + 1)
+        maps = [induced_map(f, q, coeff) for q in degrees]
+        on_homology = sum((-1) ** q * _trace(maps[q]) for q in degrees)
+        on_chains = sum((-1) ** q * sum(column.get(j, 0)
+                                        for j, column in enumerate(chain_map_matrix(f, q)))
+                        for q in degrees)
+        if p:
+            assert (on_homology - on_chains) % p == 0, f.vertex_fn
+        else:
+            assert on_homology == on_chains, f.vertex_fn
+            assert all(isinstance(x, Fraction) for m in maps for row in m for x in row)
+
+
+def _product(a, b, p):
+    inner = len(b)
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) % p if p
+             else sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("coeff", ["q", "p:2", "p:3"])
+def test_induced_maps_are_functorial(coeff):
+    """(g f)_* = g_* f_* on conf(C_n) symmetries and through the triangles."""
+    p = 0 if coeff == "q" else int(coeff[2:])
+    point = SimplicialComplex(1, frozenset({(0,)}))
+    triangles = [validate_simplicial_map((1, 2, 0), HOLLOW_TRIANGLE, HOLLOW_TRIANGLE),
+                 validate_simplicial_map((0, 1, 2), HOLLOW_TRIANGLE, FULL_TRIANGLE),
+                 validate_simplicial_map((0, 0, 0), FULL_TRIANGLE, point)]
+    chains = [triangles]
+    for n in (5, 6, 9):
+        c = configuration_space(cycle_graph(n))
+        rotate = validate_simplicial_map(tuple((v + 1) % n for v in range(n)), c, c)
+        reflect = validate_simplicial_map(tuple((-v) % n for v in range(n)), c, c)
+        constant = validate_simplicial_map((2,) * n, c, c)
+        chains.append([rotate, reflect, rotate, constant])
+    for chain in chains:
+        for f, g in zip(chain, chain[1:]):
+            for q in range(f.domain.dimension + 1):
+                composite = induced_map(compose_simplicial_maps(g, f), q, coeff)
+                assert composite == _product(induced_map(g, q, coeff),
+                                             induced_map(f, q, coeff), p), (q, f, g)
