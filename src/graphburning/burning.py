@@ -180,8 +180,14 @@ def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
     return tuple(_burnings(g))
 
 
+# The search gives up past this many residual states rather than run for
+# minutes: P20 passes 13,177, P24 61,321 (about 3 s) and P30 far more.
+_SEARCH_STATES = 100_000
+
+
 # One result per graph, bounded like the enumeration: the survey asks each
-# graph for its burning number and then its configuration space.
+# graph for its burning number and then its configuration space.  A search
+# that raises leaves no entry.
 @lru_cache(maxsize=8)
 def _search(g: Graph) -> tuple[frozenset[int], int]:
     """Source-set bitmasks of all burnings of g, and their least end time.
@@ -197,6 +203,7 @@ def _search(g: Graph) -> tuple[frozenset[int], int]:
     In times relative to the current step (u - 1), igniting v is `_ignite` at
     step 0 followed by a shift of -1.  In u that is one comprehension:
     u'[w] = min(u[w], d(v, w) + 1) - 1 for unburned w, and 0 for burned w.
+    Past `_SEARCH_STATES` states it raises `SizeGuardExceeded`.
     """
     dist = distances(g)
     memo: dict[tuple[float, ...], tuple[set[int], int]] = {}
@@ -205,6 +212,10 @@ def _search(g: Graph) -> tuple[frozenset[int], int]:
         found = memo.get(u)
         if found is not None:
             return found
+        if len(memo) >= _SEARCH_STATES:
+            raise SizeGuardExceeded(
+                f"the burning search passed {_SEARCH_STATES:,} residual states "
+                f"on a graph with {g.vertex_count} vertices")
         sets: set[int] = set()
         least: float = INF
         for v, x in enumerate(u):

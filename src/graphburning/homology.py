@@ -4,14 +4,20 @@ Simplexes are stored with ascending vertices; the boundary of [u_0 < ... < u_q]
 is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
 u_i.  Each boundary is stored once, as sparse columns {face index: sign} on
 the lexicographic face bases, and every consumer reads that one form.
+`homology()` first shrinks the complex by coreduction (Mrozek-Batko,
+Coreduction homology algorithm, DCG 2009): one vertex per component is taken
+out as a generator of H_0, then cells that have a single remaining boundary
+face are removed together with that face, which keeps the integer homology.
 Homology over Z, Q and F_p all comes from one integer Smith normal form per
-boundary: by universal coefficients a boundary's rank over Q is the length of
-its Smith diagonal and over F_p the number of entries p does not divide.
-Induced maps and `matrix_rank_over` use the sparse field echelon.
+restricted boundary of the surviving cells: by universal coefficients a
+boundary's rank over Q is the length of its Smith diagonal and over F_p the
+number of entries p does not divide.  Induced maps, which need cycles of the
+whole complex, and `matrix_rank_over` use the sparse field echelon.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -123,21 +129,77 @@ def homology(c: SimplicialComplex, reduced: bool = False,
              coeff: str = "z") -> list[HomologyGroup]:
     """Homology groups per degree 0..dim c.
 
-    The free rank in degree q is (#q-faces) - rank(d_q) - rank(d_{q+1}), read
-    off one Smith diagonal per boundary: over Z or Q the rank is the diagonal
-    length, over F_p the count of entries p does not divide.  Over Z the
-    torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
+    The complex is coreduced first (`_coreduce`).  Then the free rank in
+    degree q is (#surviving q-cells) - rank(d_q) - rank(d_{q+1}), plus the
+    H_0 generators taken out, with the ranks read off one Smith diagonal per
+    restricted boundary: over Z or Q the rank is the diagonal length, over F_p
+    the count of entries p does not divide.  Over Z the torsion is the part of
+    SNF(d_{q+1}) above 1; over a field it is empty.
     """
     p = parse_coeff(coeff)
     cc = chain_complex(c, augmented=reduced)
+    generators, alive = _coreduce(cc)
     top = len(cc.dims) - 1
+    # Every surviving vertex lost its faces (the augmentation cell, if any).
     # The columns of d_q are the rows of its transpose, which has the same Smith form.
-    diagonals = [smith_normal_form(cc.boundary(q)).diagonal for q in range(top + 2)]
+    diagonals = [()] + [smith_normal_form(
+        [{i: x for i, x in cc.boundary(q)[j].items() if alive[q - 1][i]}
+         for j in range(cc.dims[q]) if alive[q][j]]).diagonal
+        for q in range(1, top + 1)] + [()]
     ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
     return [HomologyGroup(
-        cc.dim(q) - ranks[q] - ranks[q + 1],
+        sum(alive[q]) + (generators if q == 0 else 0) - ranks[q] - ranks[q + 1],
         () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
         for q in range(top + 1)]
+
+
+def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
+    """The H_0 generators taken out, and a flag per cell: 1 if it survives.
+
+    One vertex of each component is taken out first, a free generator of H_0;
+    when augmented, the first of them and the augmentation cell form a pair
+    instead.  Then a work queue removes coreduction pairs: a cell with a
+    single remaining boundary face, together with that face.  Their incidence
+    is +-1, so the restricted boundaries of the surviving cells, unchanged
+    otherwise, have the same integer homology, torsion included.
+    """
+    top = len(cc.dims) - 1
+    alive = [bytearray(b"\1") * n for n in cc.dims]
+    cofaces: list[list[list[int]]] = [[[] for _ in range(n)] for n in cc.dims]
+    for q in range(1, top + 1):
+        for j, column in enumerate(cc.boundary(q)):
+            for i in column:
+                cofaces[q - 1][i].append(j)
+    remaining = [[len(column) for column in cc.boundary(q)] for q in range(top + 1)]
+    queue: deque[tuple[int, int]] = deque()
+
+    def remove(q: int, j: int) -> None:
+        alive[q][j] = 0
+        for k in cofaces[q][j]:
+            remaining[q + 1][k] -= 1
+            if remaining[q + 1][k] == 1:
+                queue.append((q + 1, k))
+
+    component = list(range(cc.dim(0)))
+
+    def find(v: int) -> int:
+        while component[v] != v:
+            component[v] = v = component[component[v]]
+        return v
+
+    for column in cc.boundary(1):
+        a, b = column
+        component[find(a)] = find(b)
+    seeds = [v for v in range(cc.dim(0)) if find(v) == v]
+    for v in seeds:
+        remove(0, v)
+    while queue:
+        q, j = queue.popleft()
+        if alive[q][j] and remaining[q][j] == 1:
+            face = next(i for i in cc.boundary(q)[j] if alive[q - 1][i])
+            remove(q, j)
+            remove(q - 1, face)
+    return len(seeds) - cc.augmented, alive
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable
 
@@ -57,10 +58,12 @@ class CheckResult:
     statement: str
     status: str  # "pass" | "fail" | "skipped"
     details: dict = field(default_factory=dict)
+    elapsed_s: float = 0.0  # wall-clock seconds, set by run_checks
 
     def to_record(self) -> dict:
         return {"check_id": self.check_id, "statement": self.statement,
-                "status": self.status, "details": self.details}
+                "status": self.status, "details": self.details,
+                "elapsed_s": self.elapsed_s}
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,50 @@ def check_path_homology_table() -> CheckResult:
                 bad[f"P{n} degree {q}"] = {
                     "got": str(grp), "want_free_rank": want_rank}
     return _result("path-homology-table", statement, not bad, {"mismatches": bad})
+
+
+def check_path_homology_kozlov() -> CheckResult:
+    statement = ("for n=1..20 the configuration space of the n-path is its "
+                 "independence complex, facet for facet, and its integer "
+                 "homology is Kozlov's: a point for n=3k+1, else S^(k-1), "
+                 "no torsion")
+    bad = {}
+    for n in range(1, 21):
+        c = configuration_space(path_graph(n))
+        maximal = _path_maximal_independent_sets(n)
+        if set(c.facets) != maximal:
+            bad[f"P{n} facets"] = {"got": len(c.facets), "want": len(maximal)}
+        # Kozlov (JCTA 1999): Ind(P_n) is contractible for n = 3k+1 and
+        # S^{k-1} for n = 3k-1 and n = 3k.
+        k, r = divmod(n + 1, 3)
+        want = {0: 1} if r == 2 else {0: 2} if k == 1 else {0: 1, k - 1: 1}
+        groups = homology(c)
+        got = {q: g.free_rank for q, g in enumerate(groups) if g.free_rank}
+        if got != want or any(g.torsion for g in groups):
+            bad[f"P{n} homology"] = {"got": [str(g) for g in groups],
+                                     "want_free_ranks": want}
+    return _result("path-homology-kozlov", statement, not bad, {"mismatches": bad})
+
+
+def _path_maximal_independent_sets(n: int) -> set[tuple[int, ...]]:
+    """Maximal independent sets of the n-path, written out directly.
+
+    They start at vertex 0 or 1, step by 2 or 3 (a gap of 4 could take one
+    more vertex) and end at n-1 or n-2.
+    """
+    out = set()
+
+    def extend(s: tuple[int, ...]) -> None:
+        if s[-1] >= n - 2:
+            out.add(s)
+        for step in (2, 3):
+            if s[-1] + step < n:
+                extend(s + (s[-1] + step,))
+
+    for start in (0, 1):
+        if start < n:
+            extend((start,))
+    return out
 
 
 def check_cross_polytope_spheres() -> CheckResult:
@@ -425,6 +472,7 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
     "no-homomorphism-odd-cycles": check_no_homomorphism_odd_cycles,
     "suspension-shift": check_suspension_shift,
     "property-suites": check_property_suites,
+    "path-homology-kozlov": check_path_homology_kozlov,
 }
 
 
@@ -434,5 +482,7 @@ def run_checks(check_ids: list[str] | None = None) -> VerificationReport:
     for cid in ids:
         if cid not in CHECKS:
             raise KeyError(f"unknown check {cid!r}; known: {', '.join(CHECKS)}")
-        results.append(CHECKS[cid]())
+        start = time.perf_counter()
+        result = CHECKS[cid]()
+        results.append(replace(result, elapsed_s=round(time.perf_counter() - start, 3)))
     return VerificationReport(tuple(results))

@@ -1,14 +1,21 @@
-"""Dense field elimination, evaluated literally.
+"""Dense field elimination, evaluated literally, and unreduced homology.
 
 A test oracle for the sparse routines: boundaries and chain maps as dense
 row lists, `Fraction` or mod-p row reduction, and the rank, kernel and span
-solves built on it.  It shares no code with `graphburning.exactlinalg`.
+solves built on it.  The elimination shares no code with
+`graphburning.exactlinalg`.
+
+`unreduced_homology` is the oracle for the coreduction in `homology()`: the
+same Smith forms, taken on every boundary of the whole chain complex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from graphburning import HomologyGroup, chain_complex, smith_normal_form
+from graphburning.homology import parse_coeff
 
 Matrix = list[list[int]]
 
@@ -140,3 +147,16 @@ def solve_in_span(columns: list[list], target: list, ops: FieldOps) -> list | No
     for r, c in enumerate(pivots):
         coords[c] = reduced[r][k]
     return coords
+
+
+def unreduced_homology(c, reduced: bool = False, coeff: str = "z") -> list:
+    """Homology from the Smith forms of every boundary of the whole complex."""
+    p = parse_coeff(coeff)
+    cc = chain_complex(c, augmented=reduced)
+    top = len(cc.dims) - 1
+    diagonals = [smith_normal_form(cc.boundary(q)).diagonal for q in range(top + 2)]
+    ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
+    return [HomologyGroup(
+        cc.dim(q) - ranks[q] - ranks[q + 1],
+        () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
+        for q in range(top + 1)]

@@ -66,3 +66,7 @@ def test_criterion_11_suspension_shift():
 
 def test_criterion_12_property_suites():
     run_check("property-suites", 20)
+
+
+def test_criterion_13_path_homology_kozlov():
+    run_check("path-homology-kozlov", 15)

@@ -28,6 +28,7 @@ from graphburning import (
     validate_burning,
     validate_morphism,
 )
+from graphburning import burning
 from graphburning.burning import _search
 from graphburning.graphs import (
     Graph,
@@ -188,6 +189,21 @@ def test_enumeration_cache_is_bounded_and_reused():
         enumerate_burnings(path_graph(n))
     info = enumerate_burnings.cache_info()
     assert (info.hits, info.misses) == (12, 12) and info.currsize < 12
+
+
+def test_search_state_budget(monkeypatch):
+    g = path_graph(9)
+    _search.cache_clear()
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 10)
+    with pytest.raises(SizeGuardExceeded, match="10 residual states"):
+        burning_number(g)
+    with pytest.raises(SizeGuardExceeded):
+        configuration_space(g)
+    # The failed search left no cache entry, so it runs again once allowed.
+    assert _search.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert burning_number(g) == 3
+    assert _search.cache_info().currsize == 1
 
 
 def test_burning_map_edge_collapse():

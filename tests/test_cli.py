@@ -3,7 +3,7 @@ import json
 import pytest
 
 from graphburning import InvariantError, configuration_space, parse_graph_text, path_graph
-from graphburning import cli, verify
+from graphburning import burning, cli, verify
 from graphburning.cli import UsageError, load_graph, main, parse_sources
 
 
@@ -107,6 +107,11 @@ def test_witness_command(capsys):
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "cube", "p5-configuration-space")
     assert code == 0 and out.count("PASS") == 2
+    assert "elapsed" not in out
+    code, out, _ = run(capsys, "--format", "json", "verify", "cube", "p5-configuration-space")
+    checks = json.loads(out)["checks"]
+    assert [c["check_id"] for c in checks] == ["cube", "p5-configuration-space"]
+    assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in checks)
     code, _, err = run(capsys, "verify", "bogus-check")
     assert code == 2 and "unknown check" in err
 
@@ -121,6 +126,13 @@ def test_verify_reports_broken_invariant_as_failure(capsys, monkeypatch, name):
     check = json.loads(out)["checks"][0]
     assert code == 1 and check["status"] == "fail"
     assert "deliberately broken" in json.dumps(check["details"])
+
+
+def test_search_budget_fails_fast(capsys, monkeypatch):
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 50)
+    burning._search.cache_clear()
+    code, out, err = run(capsys, "burning-number", "path:12")
+    assert code == 2 and not out and "50 residual states" in err
 
 
 def test_usage_errors(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,12 +16,15 @@ from graphburning import (
     SimplicialComplex,
     SmithForm,
     chain_complex,
+    classify,
     compose_simplicial_maps,
     configuration_space,
     cycle_graph,
+    disjoint_union,
     euler_characteristic,
     from_generators,
     homology,
+    iterated_sum,
     induced_map,
     matrix_rank_over,
     path_graph,
@@ -29,7 +33,13 @@ from graphburning import (
     validate_simplicial_map,
 )
 from graphburning.exactlinalg import FieldEchelon, determinantal_divisor_snf
-from graphburning.homology import boundary_of, chain_map_matrix, homology_to_record
+from graphburning.graphs import Graph
+from graphburning.homology import (
+    _coreduce,
+    boundary_of,
+    chain_map_matrix,
+    homology_to_record,
+)
 
 from conftest import complexes
 from elimination import (
@@ -41,6 +51,7 @@ from elimination import (
     nullspace,
     rref,
     solve_in_span,
+    unreduced_homology,
 )
 
 HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({(0, 1), (0, 2), (1, 2)}))
@@ -52,6 +63,9 @@ TETRA_BOUNDARY = from_generators(
 PROJECTIVE_PLANE = from_generators(6, [
     (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)])
+# Four components: RP^2 on 0..5, a hollow triangle and two isolated vertices.
+SCATTERED = from_generators(11, sorted(PROJECTIVE_PLANE.facets) + [
+    (6, 7), (7, 8), (6, 8), (9,), (10,)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +275,66 @@ def test_field_ranks_match_elimination(c):
                          ids=["RP2", "suspension-RP2"])
 def test_field_ranks_match_elimination_with_torsion(c):
     _assert_field_ranks_match_elimination(c)
+
+
+def _assert_matches_unreduced_route(c):
+    for reduced in (False, True):
+        for coeff in ("z", "q", "p:2", "p:3"):
+            assert homology(c, reduced, coeff) == unreduced_homology(c, reduced, coeff), (
+                reduced, coeff)
+
+
+@given(complexes())
+@settings(max_examples=80, deadline=None)
+def test_coreduction_matches_unreduced_route(c):
+    _assert_matches_unreduced_route(c)
+
+
+def test_coreduction_matches_unreduced_route_on_random_complexes():
+    # Many more complexes than the hypothesis test: pairing a cell that still
+    # has two faces gives wrong groups on well under 1% of them.
+    rng = random.Random(1)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        generators = [rng.sample(range(n), rng.randint(1, min(4, n)))
+                      for _ in range(rng.randint(1, 8))]
+        c = from_generators(n, [sorted(s) for s in generators] + [(v,) for v in range(n)])
+        coeff = rng.choice(("z", "q", "p:2", "p:3"))
+        for reduced in (False, True):
+            assert homology(c, reduced, coeff) == unreduced_homology(c, reduced, coeff)
+
+
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE), SCATTERED],
+                         ids=["RP2", "suspension-RP2", "scattered"])
+def test_coreduction_keeps_torsion_and_components(c):
+    _assert_matches_unreduced_route(c)
+
+
+def test_coreduction_matches_unreduced_route_on_configuration_spaces():
+    rng = random.Random(20261018)
+    disconnected = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < 0.4])
+        if rng.random() < 0.25:
+            g = disjoint_union(g, path_graph(rng.randint(1, 3)))
+        disconnected += not classify(g).connected
+        _assert_matches_unreduced_route(configuration_space(g))
+    assert disconnected > 10
+
+
+def test_coreduction_leaves_few_cells():
+    # Spheres coreduce to their top cell; conf(C12) to a basis of H_3 = Z^36.
+    for k in range(2, 7):
+        cc = chain_complex(configuration_space(iterated_sum(k, path_graph(2))))
+        generators, alive = _coreduce(cc)
+        assert generators == 1 and [sum(a) for a in alive] == [0] * (k - 1) + [1], k
+    _, alive = _coreduce(chain_complex(configuration_space(cycle_graph(12))))
+    assert [sum(a) for a in alive] == [0, 0, 0, 36]
+    # With the augmentation the first vertex pairs with it: one generator fewer.
+    generators, _ = _coreduce(chain_complex(SCATTERED, augmented=True))
+    assert generators == 3
 
 
 def test_homology_record():
