@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .exactlinalg import InvariantError
@@ -171,13 +171,27 @@ def _burnings(g: Graph) -> Iterator[Burning]:
     return extend([INF] * g.vertex_count)
 
 
+# The listing gives up past this many burnings rather than fill memory for
+# minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
+_LISTED_BURNINGS = 100_000
+
+
 # A bound keeps the burnings of the last few graphs (one survey graph is asked
 # for its burnings, burning number and configuration space in turn) without
-# pinning every Burning built in a long-running process.
+# pinning every Burning built in a long-running process.  A listing that
+# raises leaves no entry.
 @lru_cache(maxsize=8)
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
-    """The complete list of burnings, lexicographic in the source sequences."""
-    return tuple(_burnings(g))
+    """The complete list of burnings, lexicographic in the source sequences.
+
+    Past `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
+    """
+    listed = tuple(islice(_burnings(g), _LISTED_BURNINGS + 1))
+    if len(listed) > _LISTED_BURNINGS:
+        raise SizeGuardExceeded(
+            f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
+            f"on a graph with {g.vertex_count} vertices")
+    return listed
 
 
 # The search gives up past this many residual states rather than run for
@@ -333,7 +347,7 @@ def compose_morphisms(second: BurningMorphism, first: BurningMorphism) -> Burnin
 
 
 class SizeGuardExceeded(RuntimeError):
-    """Explicit refusal to brute force past the configured size cap."""
+    """Explicit refusal to brute force past a size cap or a work budget."""
 
 
 def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
@@ -447,20 +461,17 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
     return None
 
 
-def is_burning_extension(embed: GraphMap, max_vertices: int = 10) -> bool:
+def is_burning_extension(embed: GraphMap) -> bool:
     """Whether every source set of the domain extends to one of the codomain.
 
     The faces of a configuration space are exactly the subsets of source sets,
     so this holds iff the image of every facet of conf(H) is a face of conf(G).
+    A search past its state budget raises `SizeGuardExceeded`.
     """
     from .complexes import configuration_space
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
-    g = embed.codomain
-    if g.vertex_count > max_vertices:
-        raise SizeGuardExceeded(
-            f"graph has {g.vertex_count} vertices; cap is {max_vertices}")
-    target = configuration_space(g)
+    target = configuration_space(embed.codomain)
     return all(target.has_face([embed(v) for v in f])
                for f in configuration_space(embed.domain).facets)
 
@@ -486,9 +497,10 @@ def _closed_form_witness(kind: str, p: int) -> tuple[int, ...]:
             out.append(sum(2 * i + 1 for i in range(p - j + 1, p)) + p - j + 1)
         return tuple(out)
     if kind == "max-n-for-T-hom":
+        # p - 1 sources (one for p = 1): s_j = s_{j-1} + 2(p - j) + 1.
         out = [p]
-        for j in range(2, p + 1):
-            out.append(sum(2 * i for i in range(p - j + 1, p)) + p - j)
+        for j in range(2, p):
+            out.append(out[-1] + 2 * (p - j) + 1)
         return tuple(out)
     if kind == "max-n-for-k":
         # Tile the path with disjoint radius-(k+1-j) neighborhoods, largest first.
@@ -530,23 +542,19 @@ def _witness_ok(kind: str, p: int, b: Burning) -> bool:
 def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
     """The extremal path length for the given constraint, with a validated witness.
 
-    The closed-form source positions are tried first; if they do not validate
-    the witness is found by exhaustive search over all burnings of the path.
+    The witness is the closed-form source sequence; one that does not burn
+    the path raises `BurningError`, one that burns it without meeting the
+    constraint `InvariantError`.
     """
     if param < 1:
         raise ValueError("parameter must be >= 1")
     if kind not in _EXTREMAL_N:
         raise ValueError(f"unknown extremal kind {kind!r}")
     n = _EXTREMAL_N[kind](param)
-    g = path_graph(n)
-    try:
-        one_based = _closed_form_witness(kind, param)
-        b = validate_burning(g, tuple(v - 1 for v in one_based))
-        if _witness_ok(kind, param, b):
-            return ExtremalPathReport(kind, param, n, b.sources, b)
-    except BurningError:
-        pass
-    for b in _burnings(g):
-        if _witness_ok(kind, param, b):
-            return ExtremalPathReport(kind, param, n, b.sources, b)
-    raise RuntimeError(f"no witness exists for {kind} at parameter {param}")
+    one_based = _closed_form_witness(kind, param)
+    b = validate_burning(path_graph(n), tuple(v - 1 for v in one_based))
+    if not _witness_ok(kind, param, b):
+        raise InvariantError(
+            f"closed-form witness {one_based} for {kind} at {param} "
+            f"does not meet the constraint on P{n}")
+    return ExtremalPathReport(kind, param, n, b.sources, b)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .burning import SizeGuardExceeded, source_sets
+from .burning import source_sets
 from .graphs import Graph
 
 Simplex = tuple[int, ...]
@@ -196,79 +196,3 @@ def compose_simplicial_maps(second: SimplicialMap, first: SimplicialMap) -> Simp
     fn = tuple(second.vertex_fn[first.vertex_fn[v]]
                for v in range(first.domain.vertex_count))
     return validate_simplicial_map(fn, first.domain, second.codomain)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism
-
-
-def _vertex_signature(c: SimplicialComplex) -> list[tuple[tuple[int, ...], int]]:
-    """Per-vertex multiset of incident facet sizes, used to prune the search."""
-    incident: list[list[int]] = [[] for _ in range(c.vertex_count)]
-    for f in c.facets:
-        for v in f:
-            incident[v].append(len(f))
-    return [(tuple(sorted(sizes)), v) for v, sizes in enumerate(incident)]
-
-
-def are_isomorphic(c1: SimplicialComplex, c2: SimplicialComplex,
-                   max_vertices: int = 12) -> tuple[int, ...] | None:
-    """Search for a vertex bijection carrying facets onto facets.
-
-    Returns the bijection as a tuple (image of each c1 vertex) or None.
-    """
-    if c1.vertex_count > max_vertices or c2.vertex_count > max_vertices:
-        raise SizeGuardExceeded(
-            f"complexes have {c1.vertex_count}/{c2.vertex_count} vertices; "
-            f"cap is {max_vertices}")
-    if c1.vertex_count != c2.vertex_count or len(c1.facets) != len(c2.facets):
-        return None
-    sizes1 = sorted(len(f) for f in c1.facets)
-    sizes2 = sorted(len(f) for f in c2.facets)
-    if sizes1 != sizes2:
-        return None
-    sig1 = _vertex_signature(c1)
-    sig2 = _vertex_signature(c2)
-    if sorted(s for s, _ in sig1) != sorted(s for s, _ in sig2):
-        return None
-    # Assign the most constrained vertices first: rarest signatures up front.
-    order = [v for _, v in sorted(
-        sig1, key=lambda item: (sum(1 for s, _ in sig1 if s == item[0]), item[0]))]
-    candidates = {v: [w for s2, w in sig2 if s2 == s]
-                  for s, v in sig1}
-    target_facets = set(c2.facets)
-    facets_by_vertex: list[list[Simplex]] = [[] for _ in range(c1.vertex_count)]
-    for f in c1.facets:
-        for v in f:
-            facets_by_vertex[v].append(f)
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(v: int) -> bool:
-        # Every fully-mapped facet through v must land on a facet of c2.
-        for f in facets_by_vertex[v]:
-            if all(u in assignment for u in f):
-                image = tuple(sorted(assignment[u] for u in f))
-                if image not in target_facets:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            assignment[v] = w
-            used.add(w)
-            if consistent(v) and search(i + 1):
-                return True
-            del assignment[v]
-            used.discard(w)
-        return False
-
-    if search(0):
-        return tuple(assignment[v] for v in range(c1.vertex_count))
-    return None

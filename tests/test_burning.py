@@ -9,6 +9,7 @@ from graphburning import (
     Burning,
     BurningError,
     IncompleteBurning,
+    InvariantError,
     PrefixMismatch,
     SizeGuardExceeded,
     SourceTooEarly,
@@ -29,7 +30,7 @@ from graphburning import (
     validate_morphism,
 )
 from graphburning import burning
-from graphburning.burning import _search
+from graphburning.burning import _closed_form_witness, _search
 from graphburning.graphs import (
     Graph,
     Subgraph,
@@ -206,6 +207,22 @@ def test_search_state_budget(monkeypatch):
     assert _search.cache_info().currsize == 1
 
 
+def test_listing_budget(monkeypatch):
+    g = path_graph(9)  # 164 burnings
+    enumerate_burnings.cache_clear()
+    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 10)
+    with pytest.raises(SizeGuardExceeded, match="10 burnings"):
+        enumerate_burnings(g)
+    b_h = validate_burning(path_graph(1), (0,))
+    with pytest.raises(SizeGuardExceeded):
+        admits_extension(b_h, validate_graph_map((4,), path_graph(1), g), g)
+    # The failed listing left no cache entry, so it runs again once allowed.
+    assert enumerate_burnings.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert len(enumerate_burnings(g)) > 10
+    assert enumerate_burnings.cache_info().currsize == 1
+
+
 def test_burning_map_edge_collapse():
     b_a = validate_burning(HOUSE_A, (0, 4))
     b_b = validate_burning(HOUSE_B, (0, 4))
@@ -356,12 +373,6 @@ def test_extension_matches_source_set_definition(embed):
     assert is_burning_extension(embed) == expected
 
 
-def test_extension_size_guard():
-    embed = validate_graph_map((0,), path_graph(1), path_graph(12))
-    with pytest.raises(SizeGuardExceeded):
-        is_burning_extension(embed, max_vertices=10)
-
-
 # ---------------------------------------------------------------------------
 # Extremal paths
 
@@ -377,8 +388,10 @@ def test_extremal_lengths():
 def test_extremal_witnesses_validate():
     for kind in ("max-n-for-T", "max-n-for-T-hom", "max-n-for-k",
                  "min-n-for-k", "min-n-for-k-hom"):
-        for p in (1, 2, 3):
+        for p in range(1, 13):
             report = extremal_path_report(kind, p)
+            assert report.witness == tuple(
+                v - 1 for v in _closed_form_witness(kind, p))
             b = validate_burning(path_graph(report.n), report.witness)
             if kind.startswith("max-n-for-T"):
                 assert b.end_time == p
@@ -388,12 +401,18 @@ def test_extremal_witnesses_validate():
                 assert burning_map(b).is_homomorphism
 
 
+def test_extremal_closed_form_is_checked(monkeypatch):
+    # Sources 1 and 4 burn P5, but with two sources where three are wanted.
+    monkeypatch.setattr(burning, "_closed_form_witness", lambda kind, p: (1, 4))
+    with pytest.raises(InvariantError, match="min-n-for-k at 3"):
+        extremal_path_report("min-n-for-k", 3)
+
+
 def test_extremal_bounds_are_tight():
     for t in (1, 2, 3):
         assert burning_number(path_graph(t * t + 1)) > t
     for k in (2, 3):
-        assert all(len(b.sources) < k
-                   for b in enumerate_burnings(path_graph(2 * k - 2)))
+        assert all(len(s) < k for s in source_sets(path_graph(2 * k - 2)))
 
 
 def test_extremal_bad_arguments():

@@ -135,6 +135,13 @@ def test_search_budget_fails_fast(capsys, monkeypatch):
     assert code == 2 and not out and "50 residual states" in err
 
 
+def test_listing_budget_fails_fast(capsys, monkeypatch):
+    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 50)
+    burning.enumerate_burnings.cache_clear()
+    code, out, err = run(capsys, "burnings", "path:12")
+    assert code == 2 and not out and "50 burnings" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "burning-number", "cycle:2")
     assert code == 2 and "cycle" in err
