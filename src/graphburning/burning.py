@@ -8,15 +8,18 @@ function lam(v) is the first step at which v burns.
 
 Source sets and the burning number come from one depth-first search memoised
 on the shift-normalised residual state, which visits each state once however
-many orderings reach it.  Every ordered burning is listed lazily only where
-the orderings themselves are wanted (`enumerate_burnings`).
+many orderings reach it.  Ordered burnings, from an optional source prefix,
+are listed lazily only where the orderings themselves are wanted.  Every
+exponential search stops with `SizeGuardExceeded` past a constant budget of
+work (residual states, listed burnings, subgraph candidates), not of size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from .exactlinalg import InvariantError
@@ -52,6 +55,10 @@ class IncompleteBurning(BurningError):
     def __init__(self, unburned: Sequence[int]):
         super().__init__(f"vertices {sorted(unburned)} never burn")
         self.unburned = tuple(sorted(unburned))
+
+
+class SizeGuardExceeded(RuntimeError):
+    """Explicit refusal to brute force past a work budget."""
 
 
 def check_sources(g: Graph, sources: Sequence[int]) -> tuple[int, ...]:
@@ -145,20 +152,33 @@ def burning_map(b: Burning) -> GraphMap:
     return validate_graph_map(tuple(t - 1 for t in b.times), b.graph, target)
 
 
-def _burnings(g: Graph) -> Iterator[Burning]:
-    """Every burning of g, lexicographic in the source sequences, lazily.
+# The listing gives up past this many burnings rather than fill memory for
+# minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
+_LISTED_BURNINGS = 100_000
 
-    Depth-first over admissible sources.  A prefix is a burning exactly when
-    the burned region closes over the whole graph at the next step; then no
-    source is admissible any more, so no burning sequence is a proper prefix
-    of another.
+
+def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
+    """Every burning of g that begins with the given sources, lexicographic.
+
+    Depth-first over admissible sources, lazily.  A prefix is a burning exactly
+    when the burned region closes over the whole graph at the next step; then
+    no source is admissible any more, so no burning sequence is a proper
+    prefix of another.  An inadmissible start yields nothing.  Past
+    `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
     dist = distances(g)
-    prefix: list[int] = []
+    prefix = list(start)
+    listed = 0
 
     def extend(best: list[float]) -> Iterator[Burning]:
+        nonlocal listed
         step = len(prefix) + 1
         if all(t <= step for t in best):
+            listed += 1
+            if listed > _LISTED_BURNINGS:
+                raise SizeGuardExceeded(
+                    f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
+                    f"on a graph with {g.vertex_count} vertices")
             yield Burning(g, tuple(prefix), tuple(best), max(best))
             return
         for v in g.vertices:
@@ -168,30 +188,18 @@ def _burnings(g: Graph) -> Iterator[Burning]:
                 yield from extend(ignited)
                 prefix.pop()
 
-    return extend([INF] * g.vertex_count)
+    best = [INF] * g.vertex_count
+    for step, v in enumerate(prefix, start=1):
+        ignited = _ignite(dist, best, step, v)
+        if ignited is None:
+            return iter(())
+        best = ignited
+    return extend(best)
 
 
-# The listing gives up past this many burnings rather than fill memory for
-# minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
-_LISTED_BURNINGS = 100_000
-
-
-# A bound keeps the burnings of the last few graphs (one survey graph is asked
-# for its burnings, burning number and configuration space in turn) without
-# pinning every Burning built in a long-running process.  A listing that
-# raises leaves no entry.
-@lru_cache(maxsize=8)
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
-    """The complete list of burnings, lexicographic in the source sequences.
-
-    Past `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
-    """
-    listed = tuple(islice(_burnings(g), _LISTED_BURNINGS + 1))
-    if len(listed) > _LISTED_BURNINGS:
-        raise SizeGuardExceeded(
-            f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
-            f"on a graph with {g.vertex_count} vertices")
-    return listed
+    """Every burning of g, lexicographic in the source sequences."""
+    return tuple(_burnings(g))
 
 
 # The search gives up past this many residual states rather than run for
@@ -346,10 +354,6 @@ def compose_morphisms(second: BurningMorphism, first: BurningMorphism) -> Burnin
 # B-burned subgraphs
 
 
-class SizeGuardExceeded(RuntimeError):
-    """Explicit refusal to brute force past a size cap or a work budget."""
-
-
 def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
     """Test whether the subgraph burns compatibly with the ambient burning.
 
@@ -383,59 +387,59 @@ def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
     return b_local
 
 
-def _connected_edge_subsets(vertices: tuple[int, ...],
-                            edges: list[tuple[int, int]]) -> Iterator[frozenset]:
-    """All edge subsets that keep the given vertex set connected."""
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    for r in range(n - 1, len(edges) + 1):
-        for chosen in combinations(edges, r):
-            parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            parts = n
-            for v, w in chosen:
-                rv, rw = find(index[v]), find(index[w])
-                if rv != rw:
-                    parent[rv] = rw
-                    parts -= 1
-            if parts == 1:
-                yield frozenset(chosen)
+def _connects(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the edges connect the whole vertex set (union-find)."""
+    root = {v: v for v in vertices}
+    for v, w in edges:
+        while root[v] != v:
+            v = root[v]
+        while root[w] != w:
+            w = root[w]
+        root[v] = w
+    return sum(root[v] == v for v in vertices) == 1
 
 
-def minimal_b_burned_subgraphs(b: Burning, max_vertices: int = 8,
-                               max_edges: int = 14) -> list[Subgraph]:
-    """Brute-force the minimal compatible subgraphs of a burning.
+# The subgraph search gives up past this many vertex sets and edge subsets:
+# the connected graphs with up to 8 vertices and 14 edges tried so far needed
+# under 30,000.
+_SUBGRAPH_CANDIDATES = 100_000
 
-    Enumerates every connected subgraph (vertex subset plus edge subset) that
-    is burned compatibly and keeps the inclusion-minimal ones.
+
+def minimal_b_burned_subgraphs(b: Burning) -> list[Subgraph]:
+    """The inclusion-minimal connected subgraphs burned compatibly with b.
+
+    A candidate is a vertex set holding the sources with an edge subset that
+    connects it.  Candidates come by vertex count and then by edge count, each
+    after all of its proper subgraphs, so one that contains a kept subgraph is
+    not minimal and is skipped untested.  Once the vertex sets and edge
+    subsets to examine, connected or not, pass `_SUBGRAPH_CANDIDATES`, it
+    raises `SizeGuardExceeded`.
     """
     g = b.graph
-    if g.vertex_count > max_vertices or len(g.edges) > max_edges:
-        raise SizeGuardExceeded(
-            f"graph has {g.vertex_count} vertices / {len(g.edges)} edges; "
-            f"cap is {max_vertices} / {max_edges}")
     needed = set(b.sources)
     others = [v for v in g.vertices if v not in needed]
-    found: list[Subgraph] = []
+    kept: list[Subgraph] = []
+    examined = 0
     for r in range(len(others) + 1):
         for extra in combinations(others, r):
             vs = tuple(sorted(needed.union(extra)))
             inside = set(vs)
             pool = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
-            for chosen in _connected_edge_subsets(vs, pool):
-                candidate = Subgraph(g, vs, chosen)
-                if is_b_burned(candidate, b) is not None:
-                    found.append(candidate)
-    minimal = [h for h in found
-               if not any(h.contains(other) and other != h for other in found)]
-    minimal.sort(key=lambda h: (h.vertices, sorted(h.edges)))
-    return minimal
+            sizes = range(len(vs) - 1, len(pool) + 1)
+            examined += 1 + sum(comb(len(pool), k) for k in sizes)
+            if examined > _SUBGRAPH_CANDIDATES:
+                raise SizeGuardExceeded(
+                    f"the subgraph search passed {_SUBGRAPH_CANDIDATES:,} candidates "
+                    f"on a graph with {g.vertex_count} vertices / {len(g.edges)} edges")
+            for chosen in (c for k in sizes for c in combinations(pool, k)):
+                if not _connects(vs, chosen):
+                    continue
+                candidate = Subgraph(g, vs, frozenset(chosen))
+                if (not any(candidate.contains(h) for h in kept)
+                        and is_b_burned(candidate, b) is not None):
+                    kept.append(candidate)
+    kept.sort(key=lambda h: (h.vertices, sorted(h.edges)))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +447,16 @@ def minimal_b_burned_subgraphs(b: Burning, max_vertices: int = 8,
 
 
 def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
-    """First burning of g extending the given burning through the embedding."""
+    """First burning of g extending the given burning through the embedding.
+
+    Only the completions of the embedded sources are listed (and budgeted).
+    """
     if embed.domain != b_h.graph or embed.codomain != g:
         raise BurningError("embedding endpoints do not match")
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
-    k = len(b_h.sources)
-    embedded = tuple(embed(v) for v in b_h.sources)
-    for b_g in enumerate_burnings(g):
-        if b_g.sources[:k] != embedded:
-            continue
+    embedded = [embed(v) for v in b_h.sources]
+    for b_g in _burnings(g, embedded):
         try:
             validate_morphism(embed, b_h, b_g)
         except MorphismError:

@@ -167,8 +167,7 @@ def cmd_minimal_subgraphs(args) -> int:
         b = validate_burning(g, sources)
     except BurningError as exc:
         raise UsageError(f"not a burning sequence: {exc}") from None
-    subgraphs = minimal_b_burned_subgraphs(
-        b, max_vertices=args.max_vertices, max_edges=args.max_edges)
+    subgraphs = minimal_b_burned_subgraphs(b)
     record = {"sources": shift(b.sources, args.one_based),
               "minimal_subgraphs": [
                   {"vertices": shift(h.vertices, args.one_based),
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_graph("minimal-subgraphs", cmd_minimal_subgraphs,
                    help="minimal subgraphs burned compatibly with a burning")
     p.add_argument("sources")
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-edges", type=int, default=14)
     p = sub.add_parser("witness", parents=[common],
                        help="extremal path lengths with witnesses")
     p.add_argument("kind", choices=("max-n-for-T", "max-n-for-T-hom",

@@ -277,42 +277,34 @@ class StructureReport:
 
 
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    dist = distances(g)
-    seen: set[int] = set()
-    out = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = tuple(w for w in g.vertices if dist[v][w] != INF)
-        seen.update(comp)
-        out.append(comp)
-    return tuple(out)
+    return classify(g).components
 
 
-def _two_colorable(g: Graph) -> bool:
-    color: dict[int, int] = {}
+def classify(g: Graph) -> StructureReport:
+    """Components and a 2-colouring from one BFS per component.
+
+    Components are sorted and ordered by their least vertex.
+    """
     adj = _adjacency(g)
+    color: dict[int, int] = {}
+    bipartite = True
+    comps = []
     for start in g.vertices:
         if start in color:
             continue
         color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        comp = [start]  # also the BFS queue: the loop reads what it appends
+        for v in comp:
             for w in adj[v]:
                 if w not in color:
                     color[w] = 1 - color[v]
-                    queue.append(w)
+                    comp.append(w)
                 elif color[w] == color[v]:
-                    return False
-    return True
-
-
-def classify(g: Graph) -> StructureReport:
-    comps = components(g)
+                    bipartite = False
+        comps.append(tuple(sorted(comp)))
     connected = len(comps) == 1
     tree = connected and len(g.edges) == g.vertex_count - 1
-    return StructureReport(connected, tree, _two_colorable(g), comps)
+    return StructureReport(connected, tree, bipartite, tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from graphburning import (
     BurningError,
     IncompleteBurning,
     InvariantError,
+    MorphismError,
     PrefixMismatch,
     SizeGuardExceeded,
     SourceTooEarly,
     admits_extension,
     burning_map,
     burning_number,
+    classify,
     compose_morphisms,
     configuration_space,
     enumerate_burnings,
@@ -183,13 +186,6 @@ def test_enumeration_cache_is_bounded_and_reused():
         info = _search.cache_info()
         assert (info.misses, info.hits) == (n, n)
     assert _search.cache_info().currsize < 12
-    # The ordered listing keeps its own bounded cache.
-    enumerate_burnings.cache_clear()
-    for n in range(1, 13):
-        enumerate_burnings(path_graph(n))
-        enumerate_burnings(path_graph(n))
-    info = enumerate_burnings.cache_info()
-    assert (info.hits, info.misses) == (12, 12) and info.currsize < 12
 
 
 def test_search_state_budget(monkeypatch):
@@ -208,19 +204,39 @@ def test_search_state_budget(monkeypatch):
 
 
 def test_listing_budget(monkeypatch):
-    g = path_graph(9)  # 164 burnings
-    enumerate_burnings.cache_clear()
+    g = path_graph(9)  # 164 burnings, 14 of them starting at vertex 4
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 10)
     with pytest.raises(SizeGuardExceeded, match="10 burnings"):
         enumerate_burnings(g)
+    # An extension lists completions of its prefix only, up to the first
+    # that extends.
     b_h = validate_burning(path_graph(1), (0,))
-    with pytest.raises(SizeGuardExceeded):
-        admits_extension(b_h, validate_graph_map((4,), path_graph(1), g), g)
-    # The failed listing left no cache entry, so it runs again once allowed.
-    assert enumerate_burnings.cache_info().currsize == 0
-    monkeypatch.undo()
-    assert len(enumerate_burnings(g)) > 10
-    assert enumerate_burnings.cache_info().currsize == 1
+    assert admits_extension(b_h, validate_graph_map((4,), path_graph(1), g), g)
+    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 164)
+    assert len(enumerate_burnings(g)) == 164
+
+
+def test_budgets_bound_every_search(monkeypatch):
+    g = path_graph(9)
+    b_h = validate_burning(path_graph(1), (0,))
+    embed = validate_graph_map((4,), path_graph(1), g)
+    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 0)
+    with pytest.raises(SizeGuardExceeded, match="0 burnings"):
+        enumerate_burnings(g)
+    with pytest.raises(SizeGuardExceeded, match="0 burnings"):
+        admits_extension(b_h, embed, g)
+    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 0)
+    with pytest.raises(SizeGuardExceeded, match="0 candidates"):
+        minimal_b_burned_subgraphs(validate_burning(g, (4, 1, 7)))
+
+
+def test_extension_stops_at_the_first_completion(monkeypatch):
+    """6xP2 has 46,080 burnings; extending one source needs one of them."""
+    g = iterated_sum(6, path_graph(2))
+    b_h = validate_burning(path_graph(1), (0,))
+    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 1)
+    b_g = admits_extension(b_h, validate_graph_map((0,), path_graph(1), g), g)
+    assert b_g.sources == (0, 2, 4, 6, 8, 10)
 
 
 def test_burning_map_edge_collapse():
@@ -235,7 +251,6 @@ def test_burning_map_edge_collapse():
 @settings(max_examples=30, deadline=None)
 def test_no_homomorphism_without_two_coloring(g):
     """An edge-preserving burning map two-colors the graph by time parity."""
-    from graphburning import classify
     if classify(g).bipartite:
         return
     for b in enumerate_burnings(g):
@@ -315,16 +330,60 @@ def test_minimal_subgraphs_three_sources():
     b = validate_burning(g, (0, 4, 6))
     got = sorted(h.vertices for h in minimal_b_burned_subgraphs(b))
     assert got == [(0, 1, 2, 3, 4, 6), (0, 1, 2, 4, 5, 6), (0, 1, 3, 4, 5, 6)]
-    from graphburning import classify
     for h in minimal_b_burned_subgraphs(b):
         local, _ = h.as_graph()
         assert classify(local).tree
 
 
-def test_minimal_subgraphs_size_guard():
-    b = enumerate_burnings(path_graph(5))[0]
-    with pytest.raises(SizeGuardExceeded):
-        minimal_b_burned_subgraphs(b, max_vertices=3)
+def literal_minimal_subgraphs(b):
+    """Every connected compatibly burned subgraph, then the minimal ones."""
+    g = b.graph
+    others = [v for v in g.vertices if v not in b.sources]
+    found = []
+    for r in range(len(others) + 1):
+        for extra in combinations(others, r):
+            vs = tuple(sorted(set(b.sources).union(extra)))
+            pool = sorted(e for e in g.edges if set(e) <= set(vs))
+            for k in range(len(vs) - 1, len(pool) + 1):
+                for chosen in combinations(pool, k):
+                    candidate = Subgraph(g, vs, frozenset(chosen))
+                    local, _ = candidate.as_graph()
+                    if (classify(local).connected
+                            and is_b_burned(candidate, b) is not None):
+                        found.append(candidate)
+    minimal = [h for h in found
+               if not any(h.contains(other) and other != h for other in found)]
+    return sorted(minimal, key=lambda h: (h.vertices, sorted(h.edges)))
+
+
+@given(connected_graphs(max_vertices=6), st.data())
+@settings(max_examples=20, deadline=None)
+def test_minimal_subgraphs_match_literal_filter(g, data):
+    b = data.draw(st.sampled_from(enumerate_burnings(g)))
+    assert minimal_b_burned_subgraphs(b) == literal_minimal_subgraphs(b)
+
+
+def test_minimal_subgraphs_match_literal_filter_on_eight_vertices():
+    rng = random.Random(8)
+    checked = 0
+    while checked < 4:
+        pairs = list(combinations(range(8), 2))
+        g = Graph.from_edges(8, rng.sample(pairs, rng.randint(9, 12)))
+        if not classify(g).connected:
+            continue
+        b = rng.choice(enumerate_burnings(g))
+        assert minimal_b_burned_subgraphs(b) == literal_minimal_subgraphs(b)
+        checked += 1
+
+
+def test_minimal_subgraphs_past_the_old_size_caps():
+    """P9 and a ten-vertex tree: more vertices than the search once allowed."""
+    spider = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5),
+                                   (5, 6), (0, 7), (7, 8), (8, 9)])
+    for g in (path_graph(9), spider):
+        for b in enumerate_burnings(g)[:5]:
+            got = minimal_b_burned_subgraphs(b)
+            assert got and got == literal_minimal_subgraphs(b)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +420,30 @@ def embeddings(draw):
     h = Graph.from_edges(len(labels), draw(st.sets(st.sampled_from(pairs)))
                          if pairs else ())
     return validate_graph_map(labels, h, g)
+
+
+def first_extension_in_listing(b_h, embed, listing):
+    """The first burning in the whole listing of G that extends b_h."""
+    embedded = tuple(embed(v) for v in b_h.sources)
+    for b_g in listing:
+        if b_g.sources[:len(embedded)] != embedded:
+            continue
+        try:
+            validate_morphism(embed, b_h, b_g)
+        except MorphismError:
+            continue
+        return b_g
+    return None
+
+
+@given(embeddings())
+@settings(max_examples=60, deadline=None)
+def test_extension_matches_first_in_listing(embed):
+    g = embed.codomain
+    listing = enumerate_burnings(g)
+    for b_h in enumerate_burnings(embed.domain):
+        assert (admits_extension(b_h, embed, g)
+                == first_extension_in_listing(b_h, embed, listing))
 
 
 @given(embeddings())

@@ -137,9 +137,18 @@ def test_search_budget_fails_fast(capsys, monkeypatch):
 
 def test_listing_budget_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 50)
-    burning.enumerate_burnings.cache_clear()
     code, out, err = run(capsys, "burnings", "path:12")
     assert code == 2 and not out and "50 burnings" in err
+
+
+def test_subgraph_budget_fails_fast(capsys, monkeypatch):
+    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 0)
+    code, out, err = run(capsys, "minimal-subgraphs", "path:9", "4,1,7")
+    assert code == 2 and not out and "0 candidates" in err
+    # The size flags are gone: argparse rejects them as a usage error.
+    with pytest.raises(SystemExit) as exit_:
+        main(["minimal-subgraphs", "path:9", "4,1,7", "--max-vertices", "9"])
+    assert exit_.value.code == 2 and "--max-vertices" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

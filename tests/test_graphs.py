@@ -28,7 +28,7 @@ from graphburning import (
     validate_graph_map,
     whole_graph,
 )
-from graphburning.graphs import _adjacency, format_graph_text
+from graphburning.graphs import _adjacency, components, format_graph_text
 
 from conftest import graphs
 
@@ -97,6 +97,21 @@ def test_classify_families():
     assert not report.connected
     assert report.components == ((0, 1), (2, 3, 4))
     assert classify(cube_graph()).bipartite
+
+
+@given(graphs())
+def test_classify_matches_distances(g):
+    """One BFS per component against the all-pairs distances."""
+    dist = distances(g)
+    partition = sorted({tuple(w for w in g.vertices if dist[v][w] != math.inf)
+                        for v in g.vertices})
+    report = classify(g)
+    assert list(report.components) == partition == list(components(g))
+    # A graph is bipartite iff no edge joins two vertices at equal distance
+    # from the least vertex of their component.
+    assert report.bipartite == all(dist[min(c)][v] != dist[min(c)][w]
+                                   for c in partition for v, w in g.edges
+                                   if v in c)
 
 
 def test_iterated_sum():
