@@ -12,6 +12,11 @@ many orderings reach it.  Ordered burnings, from an optional source prefix,
 are listed lazily only where the orderings themselves are wanted.  Every
 exponential search stops with `SizeGuardExceeded` past a constant budget of
 work (residual states, listed burnings, subgraph candidates), not of size.
+
+A connected subgraph holding the sources burns compatibly with a burning b
+iff each of its non-source vertices has an edge in it to a vertex burning a
+step earlier; the minimal ones are the trees obeying this rule whose vertices
+of degree <= 1 are all sources (`is_b_burned`, `minimal_b_burned_subgraphs`).
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import InvariantError
 from .graphs import (
     INF,
+    Edge,
     Graph,
     GraphMap,
     Subgraph,
@@ -354,13 +360,23 @@ def compose_morphisms(second: BurningMorphism, first: BurningMorphism) -> Burnin
 # B-burned subgraphs
 
 
+def _obeys_rule(b: Burning, vertices: Iterable[int], edges: Iterable[Edge]) -> bool:
+    """Whether every non-source vertex has an edge to one burning a step earlier."""
+    t = b.times
+    fed = {v if t[v] > t[w] else w for v, w in edges if abs(t[v] - t[w]) == 1}
+    return fed.union(b.sources).issuperset(vertices)
+
+
 def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
     """Test whether the subgraph burns compatibly with the ambient burning.
 
     The subgraph must carry the full source sequence of the ambient burning:
     its own burning by that sequence must restrict the ambient time function
     and include as a morphism.  Returns the subgraph burning (on the extracted
-    graph, whose vertex i is h.vertices[i]) or None.
+    graph, whose vertex i is h.vertices[i]) or None.  That holds iff the
+    subgraph obeys `_obeys_rule`: its distances are at least g's, so its times
+    are at least b's, and by induction on the time they are equal exactly
+    under the rule; then the morphism conditions hold with tau the inclusion.
     """
     if h.ambient != b.graph:
         raise BurningError("subgraph does not live in the burned graph")
@@ -370,76 +386,57 @@ def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
     if not classify(local).connected:
         raise BurningError("subgraph must be connected")
     position = {v: i for i, v in enumerate(labels)}
-    if any(v not in position for v in b.sources):
+    if any(v not in position for v in b.sources) or not _obeys_rule(b, labels, h.edges):
         return None
-    local_sources = tuple(position[v] for v in b.sources)
-    try:
-        b_local = validate_burning(local, local_sources)
-    except BurningError:
-        return None
-    if any(b_local.time(position[v]) != b.time(v) for v in labels):
-        return None
-    inclusion = validate_graph_map(labels, local, b.graph)
-    try:
-        validate_morphism(inclusion, b_local, b)
-    except MorphismError:
-        return None
-    return b_local
-
-
-def _connects(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the edges connect the whole vertex set (union-find)."""
-    root = {v: v for v in vertices}
-    for v, w in edges:
-        while root[v] != v:
-            v = root[v]
-        while root[w] != w:
-            w = root[w]
-        root[v] = w
-    return sum(root[v] == v for v in vertices) == 1
+    times = tuple(b.times[v] for v in labels)
+    return Burning(local, tuple(position[v] for v in b.sources), times, max(times))
 
 
 # The subgraph search gives up past this many vertex sets and edge subsets:
-# the connected graphs with up to 8 vertices and 14 edges tried so far needed
-# under 30,000.
+# one source on K7 needs about 76,000, on K8 over a million.
 _SUBGRAPH_CANDIDATES = 100_000
 
 
 def minimal_b_burned_subgraphs(b: Burning) -> list[Subgraph]:
     """The inclusion-minimal connected subgraphs burned compatibly with b.
 
-    A candidate is a vertex set holding the sources with an edge subset that
-    connects it.  Candidates come by vertex count and then by edge count, each
-    after all of its proper subgraphs, so one that contains a kept subgraph is
-    not minimal and is skipped untested.  Once the vertex sets and edge
-    subsets to examine, connected or not, pass `_SUBGRAPH_CANDIDATES`, it
-    raises `SizeGuardExceeded`.
+    They are the trees that obey `_obeys_rule` and whose vertices of degree
+    <= 1 are sources.  A spanning tree keeping one earlier-neighbour edge per
+    non-source vertex obeys the rule, so a minimal one is a tree; a non-source
+    leaf is no vertex's earlier neighbour and can go; and a connected subgraph
+    of a tree that holds all its leaves is the whole tree.  A vertex set whose
+    induced edges break the rule is skipped; otherwise its edge subsets of one
+    edge fewer than its vertices are tested.  Past `_SUBGRAPH_CANDIDATES`
+    vertex sets and edge subsets listed, it raises `SizeGuardExceeded`.
     """
     g = b.graph
+    if not classify(g).connected:
+        raise BurningError("ambient graph must be connected")
     needed = set(b.sources)
     others = [v for v in g.vertices if v not in needed]
-    kept: list[Subgraph] = []
+    found: list[Subgraph] = []
     examined = 0
     for r in range(len(others) + 1):
         for extra in combinations(others, r):
             vs = tuple(sorted(needed.union(extra)))
             inside = set(vs)
             pool = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
-            sizes = range(len(vs) - 1, len(pool) + 1)
-            examined += 1 + sum(comb(len(pool), k) for k in sizes)
+            feasible = _obeys_rule(b, extra, pool)
+            examined += 1 + (comb(len(pool), len(vs) - 1) if feasible else 0)
             if examined > _SUBGRAPH_CANDIDATES:
                 raise SizeGuardExceeded(
                     f"the subgraph search passed {_SUBGRAPH_CANDIDATES:,} candidates "
                     f"on a graph with {g.vertex_count} vertices / {len(g.edges)} edges")
-            for chosen in (c for k in sizes for c in combinations(pool, k)):
-                if not _connects(vs, chosen):
-                    continue
-                candidate = Subgraph(g, vs, frozenset(chosen))
-                if (not any(candidate.contains(h) for h in kept)
-                        and is_b_burned(candidate, b) is not None):
-                    kept.append(candidate)
-    kept.sort(key=lambda h: (h.vertices, sorted(h.edges)))
-    return kept
+            if not feasible:
+                continue
+            for chosen in combinations(pool, len(vs) - 1):
+                ends = [x for e in chosen for x in e]
+                if all(ends.count(v) > 1 for v in extra) and _obeys_rule(b, extra, chosen):
+                    h = Subgraph(g, vs, frozenset(chosen))
+                    if classify(h.as_graph()[0]).connected:
+                        found.append(h)
+    found.sort(key=lambda h: (h.vertices, sorted(h.edges)))
+    return found
 
 
 # ---------------------------------------------------------------------------

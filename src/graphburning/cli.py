@@ -41,8 +41,9 @@ def load_graph(spec: str) -> Graph:
             return parse_graph_text(fh.read())
     head = spec.split(":", 1)[0].strip()
     if head == "sum":
-        rest = spec.split(":", 1)[1]
-        count_text, inner = rest.split(",", 1)
+        count_text, comma, inner = spec.partition(":")[2].partition(",")
+        if not (comma and count_text.strip().isdecimal()):
+            raise UsageError(f"bad sum {spec!r}; expected sum:<count>,<graph>")
         return iterated_sum(int(count_text), load_graph(inner))
     if head.isalpha() or head == "complete_bipartite":
         parts = spec.split(":", 1)

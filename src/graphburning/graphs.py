@@ -382,7 +382,7 @@ def parse_graph_text(text: str) -> Graph:
         if parts[0] == "n":
             if vertex_count is not None or edges:
                 raise GraphError(f"line {lineno}: stray vertex-count line")
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise GraphError(f"line {lineno}: expected 'n <count>'")
             vertex_count = int(parts[1])
             continue

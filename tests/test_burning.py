@@ -335,6 +335,98 @@ def test_minimal_subgraphs_three_sources():
         assert classify(local).tree
 
 
+def literal_is_b_burned(h, b):
+    """The subgraph's own burning by b's sources, checked against b directly.
+
+    It must restrict b's time function and its inclusion must certify as a
+    morphism of burnings; no use of the local rule.
+    """
+    if h.ambient != b.graph:
+        raise BurningError("subgraph does not live in the burned graph")
+    if not classify(b.graph).connected:
+        raise BurningError("ambient graph must be connected")
+    local, labels = h.as_graph()
+    if not classify(local).connected:
+        raise BurningError("subgraph must be connected")
+    position = {v: i for i, v in enumerate(labels)}
+    if any(v not in position for v in b.sources):
+        return None
+    try:
+        b_local = validate_burning(local, tuple(position[v] for v in b.sources))
+    except BurningError:
+        return None
+    if any(b_local.time(position[v]) != b.time(v) for v in labels):
+        return None
+    inclusion = validate_graph_map(labels, local, b.graph)
+    try:
+        validate_morphism(inclusion, b_local, b)
+    except MorphismError:
+        return None
+    return b_local
+
+
+@st.composite
+def burned_subgraphs(draw):
+    """A connected graph, one of its burnings and a connected subgraph."""
+    g = draw(connected_graphs(max_vertices=6))
+    b = draw(st.sampled_from(enumerate_burnings(g)))
+    inside = {draw(st.sampled_from(g.vertices))}
+    tree = set()
+    for _ in range(draw(st.integers(0, g.vertex_count - 1))):
+        leaving = sorted(e for e in g.edges if (e[0] in inside) != (e[1] in inside))
+        if not leaving:
+            break
+        e = draw(st.sampled_from(leaving))
+        tree.add(e)
+        inside.update(e)
+    spare = sorted(e for e in g.edges if set(e) <= inside and e not in tree)
+    chords = draw(st.sets(st.sampled_from(spare))) if spare else set()
+    return Subgraph(g, tuple(sorted(inside)), frozenset(tree | chords)), b
+
+
+@given(burned_subgraphs())
+@settings(max_examples=300, deadline=None)
+def test_is_b_burned_matches_literal_oracle(case):
+    h, b = case
+    assert is_b_burned(h, b) == literal_is_b_burned(h, b)
+
+
+def test_is_b_burned_matches_literal_oracle_on_every_subgraph():
+    """Every burning against every connected subgraph of four small graphs."""
+    for g in (FAN, HOUSE_B, cycle_graph(6), complete_graph(4)):
+        subgraphs = []
+        for r in range(1, g.vertex_count + 1):
+            for vs in combinations(g.vertices, r):
+                pool = sorted(e for e in g.edges if set(e) <= set(vs))
+                for k in range(r - 1, len(pool) + 1):
+                    subgraphs += [Subgraph(g, vs, frozenset(chosen))
+                                  for chosen in combinations(pool, k)]
+        subgraphs = [h for h in subgraphs if classify(h.as_graph()[0]).connected]
+        for b in enumerate_burnings(g):
+            for h in subgraphs:
+                assert is_b_burned(h, b) == literal_is_b_burned(h, b)
+
+
+def test_is_b_burned_refuses_disconnected_graphs():
+    g = iterated_sum(2, path_graph(2))
+    b = validate_burning(g, (0, 2))
+    with pytest.raises(BurningError, match="ambient graph must be connected"):
+        is_b_burned(whole_graph(g), b)
+    with pytest.raises(BurningError, match="ambient graph must be connected"):
+        minimal_b_burned_subgraphs(b)
+    b = validate_burning(path_graph(3), (1,))
+    with pytest.raises(BurningError, match="subgraph must be connected"):
+        is_b_burned(induced_subgraph(path_graph(3), [0, 2]), b)
+
+
+def test_minimal_subgraphs_one_source_on_complete_graphs():
+    """Only the source itself: every larger tree has a non-source leaf."""
+    got = minimal_b_burned_subgraphs(validate_burning(complete_graph(7), (0,)))
+    assert [(h.vertices, h.edges) for h in got] == [((0,), frozenset())]
+    with pytest.raises(SizeGuardExceeded):
+        minimal_b_burned_subgraphs(validate_burning(complete_graph(8), (0,)))
+
+
 def literal_minimal_subgraphs(b):
     """Every connected compatibly burned subgraph, then the minimal ones."""
     g = b.graph
@@ -349,7 +441,7 @@ def literal_minimal_subgraphs(b):
                     candidate = Subgraph(g, vs, frozenset(chosen))
                     local, _ = candidate.as_graph()
                     if (classify(local).connected
-                            and is_b_burned(candidate, b) is not None):
+                            and literal_is_b_burned(candidate, b) is not None):
                         found.append(candidate)
     minimal = [h for h in found
                if not any(h.contains(other) and other != h for other in found)]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ def test_load_graph_builders(tmp_path):
     assert load_graph(str(path)) == path_graph(4)
     with pytest.raises(UsageError):
         load_graph("frobnicate:3")
+    for spec in ("sum:3", "sum:x,path:2"):
+        with pytest.raises(UsageError, match="expected sum:<count>,<graph>"):
+            load_graph(spec)
 
 
 def test_parse_sources():
@@ -149,6 +156,26 @@ def test_subgraph_budget_fails_fast(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         main(["minimal-subgraphs", "path:9", "4,1,7", "--max-vertices", "9"])
     assert exit_.value.code == 2 and "--max-vertices" in capsys.readouterr().err
+
+
+def test_minimal_subgraphs_refuse_a_disconnected_graph(capsys):
+    for graph, sources in (("sum:2,path:2", "0,2"), ("sum:2,complete:5", "0,5")):
+        code, out, err = run(capsys, "minimal-subgraphs", graph, sources)
+        assert code == 2 and not out and "ambient graph must be connected" in err
+
+
+def test_refusals_and_checks_hold_under_optimize_flag():
+    """Real exceptions, not asserts: python -O changes neither outcome."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    refused = subprocess.run(
+        [sys.executable, "-O", "-m", "graphburning", "minimal-subgraphs",
+         "sum:2,path:2", "0,2"], env=env, capture_output=True, text=True)
+    assert refused.returncode == 2 and not refused.stdout
+    assert "ambient graph must be connected" in refused.stderr
+    checked = subprocess.run(
+        [sys.executable, "-O", "-m", "graphburning", "verify", "minimal-subgraphs"],
+        env=env, capture_output=True, text=True)
+    assert checked.returncode == 0 and "PASS minimal-subgraphs" in checked.stdout
 
 
 def test_usage_errors(capsys):

@@ -200,3 +200,5 @@ def test_parse_graph_text_details():
         parse_graph_text("0 1\nn 4\n")
     with pytest.raises(GraphError):
         parse_graph_text("0 one\n")
+    with pytest.raises(GraphError, match="line 1: expected 'n <count>'"):
+        parse_graph_text("n x\n")
