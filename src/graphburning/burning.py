@@ -9,9 +9,13 @@ function lam(v) is the first step at which v burns.
 Source sets and the burning number come from one depth-first search memoised
 on the shift-normalised residual state, which visits each state once however
 many orderings reach it.  Ordered burnings, from an optional source prefix,
-are listed lazily only where the orderings themselves are wanted.  Every
-exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (residual states, listed burnings, subgraph candidates), not of size.
+are listed lazily only where the orderings themselves are wanted, by a walk
+over the same states: each is expanded once into its admissible children and
+the vertices that burn at its step, from which a burning's times are read.
+A whole listing is counted on those states first and refused before it
+starts when it is too long.  Every exponential search stops with
+`SizeGuardExceeded` past a constant budget of work (residual states, listed
+burnings, subgraph candidates), not of size.
 
 A connected subgraph holding the sources burns compatibly with a burning b
 iff each of its non-source vertices has an edge in it to a vertex burning a
@@ -155,103 +159,176 @@ def burning_map(b: Burning) -> GraphMap:
     The path's vertices are 0-based internally: time t maps to path vertex t-1.
     """
     target = path_graph(b.end_time)
-    return validate_graph_map(tuple(t - 1 for t in b.times), b.graph, target)
+    return validate_graph_map(tuple([t - 1 for t in b.times]), b.graph, target)
 
 
-# The listing gives up past this many burnings rather than fill memory for
+# The listing refuses past this many burnings rather than fill memory for
 # minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
 _LISTED_BURNINGS = 100_000
 
+# The searches give up past this many residual states rather than run for
+# minutes: P20 passes 13,177, P24 61,321 (about 3 s) and P30 far more.
+_SEARCH_STATES = 100_000
 
-def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
-    """Every burning of g that begins with the given sources, lexicographic.
+State = tuple[float, ...]
+# A state's admissible children as (source, state) pairs, and its u = 1 vertices.
+Expansion = tuple[tuple[tuple[int, State], ...], tuple[int, ...]]
 
-    Depth-first over admissible sources, lazily.  A prefix is a burning exactly
-    when the burned region closes over the whole graph at the next step; then
-    no source is admissible any more, so no burning sequence is a proper
-    prefix of another.  An inadmissible start yields nothing.  Past
+
+def _too_many_states(g: Graph) -> SizeGuardExceeded:
+    return SizeGuardExceeded(
+        f"the burning search passed {_SEARCH_STATES:,} residual states "
+        f"on a graph with {g.vertex_count} vertices")
+
+
+def _shift_ignite(u: State, row: tuple[float, ...]) -> State:
+    """The residual state after igniting the vertex with the given distance row.
+
+    The state before step j is u[v] = max(best[v] - j + 1, 0), where best holds
+    the burn times under the sources so far: u[v] = 0 means v burned before
+    step j, 1 that v burns at step j, and > 1 that v is admissible.  In times
+    relative to the current step (u - 1), igniting v is `_ignite` at step 0
+    followed by a shift of -1.  In u that is one comprehension:
+    u'[w] = min(u[w], d(v, w) + 1) - 1 for unburned w, and 0 for burned w.
+    """
+    # min(y, d + 1) - 1 without the call to min.
+    return tuple([(y - 1 if y <= d else d) if y else 0 for y, d in zip(u, row)])
+
+
+class _StateGraph:
+    """The residual states of g met so far, each expanded once.
+
+    A state maps to its admissible children, as (source, state) pairs in
+    vertex order, and to its vertices with u = 1.  Igniting a source burns it
+    and those vertices at the state's step; a state with no child closes a
+    burning, whose end time is its step if some u = 1 and the step before
+    otherwise.  Past `_SEARCH_STATES` states it raises `SizeGuardExceeded`.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.root: State = (INF,) * g.vertex_count
+        self.dist = distances(g)
+        self.memo: dict[State, Expansion] = {}
+
+    def expand(self, u: State) -> Expansion:
+        found = self.memo.get(u)
+        if found is None:
+            if len(self.memo) >= _SEARCH_STATES:
+                raise _too_many_states(self.graph)
+            dist = self.dist
+            found = self.memo[u] = (
+                tuple([(v, _shift_ignite(u, dist[v])) for v, x in enumerate(u) if x > 1]),
+                tuple([v for v, x in enumerate(u) if x == 1]))
+        return found
+
+    def completions(self) -> int:
+        """The number of burnings: a state's completions number 1 at a leaf,
+        else the sum over its children."""
+        counts: dict[State, int] = {}
+
+        def count(u: State) -> int:
+            found = counts.get(u)
+            if found is None:
+                children = self.expand(u)[0]
+                found = counts[u] = sum(count(c) for _, c in children) if children else 1
+            return found
+
+        return count(self.root)
+
+
+def _burnings(states: _StateGraph, start: Sequence[int] = ()) -> Iterator[Burning]:
+    """Every burning that begins with the given sources, lexicographic.
+
+    Depth-first over the residual states of the graph, lazily.  A vertex
+    burns at the step of the state where it has u = 1 or is ignited, so each
+    burning's times are written along its path from the root and read at its
+    leaf.  No burning sequence is a proper prefix of another, since a leaf
+    has no admissible source.  An inadmissible start yields nothing.  Past
     `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
-    dist = distances(g)
-    prefix = list(start)
+    g, expand = states.graph, states.expand
+    times = [0] * g.vertex_count
+    prefix: list[int] = []
     listed = 0
 
-    def extend(best: list[float]) -> Iterator[Burning]:
+    def walk(u: State) -> Iterator[Burning]:
         nonlocal listed
         step = len(prefix) + 1
-        if all(t <= step for t in best):
+        children, ones = expand(u)
+        for w in ones:
+            times[w] = step
+        if not children:
             listed += 1
             if listed > _LISTED_BURNINGS:
                 raise SizeGuardExceeded(
                     f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
                     f"on a graph with {g.vertex_count} vertices")
-            yield Burning(g, tuple(prefix), tuple(best), max(best))
+            yield Burning(g, tuple(prefix), tuple(times), step if ones else step - 1)
             return
-        for v in g.vertices:
-            ignited = _ignite(dist, best, step, v)
-            if ignited is not None:
-                prefix.append(v)
-                yield from extend(ignited)
-                prefix.pop()
+        for v, child in children:
+            times[v] = step
+            prefix.append(v)
+            yield from walk(child)
+            prefix.pop()
 
-    best = [INF] * g.vertex_count
-    for step, v in enumerate(prefix, start=1):
-        ignited = _ignite(dist, best, step, v)
-        if ignited is None:
+    u = states.root
+    for step, v in enumerate(start, start=1):
+        children, ones = expand(u)
+        child = dict(children).get(v)
+        if child is None:
             return iter(())
-        best = ignited
-    return extend(best)
+        for w in ones:
+            times[w] = step
+        times[v] = step
+        prefix.append(v)
+        u = child
+    return walk(u)
 
 
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
-    """Every burning of g, lexicographic in the source sequences."""
-    return tuple(_burnings(g))
+    """Every burning of g, lexicographic in the source sequences.
+
+    The burnings are counted on the residual states first, so a listing past
+    `_LISTED_BURNINGS` is refused before any burning is built.
+    """
+    states = _StateGraph(g)
+    total = states.completions()
+    if total > _LISTED_BURNINGS:
+        raise SizeGuardExceeded(
+            f"a graph with {g.vertex_count} vertices has {total:,} burnings, "
+            f"past the listing budget of {_LISTED_BURNINGS:,} burnings")
+    return tuple(_burnings(states))
 
 
-# The search gives up past this many residual states rather than run for
-# minutes: P20 passes 13,177, P24 61,321 (about 3 s) and P30 far more.
-_SEARCH_STATES = 100_000
-
-
-# One result per graph, bounded like the enumeration: the survey asks each
-# graph for its burning number and then its configuration space.  A search
-# that raises leaves no entry.
+# One result per graph, bounded: the survey asks each graph for its burning
+# number and then its configuration space.  A search that raises leaves no
+# entry.
 @lru_cache(maxsize=8)
 def _search(g: Graph) -> tuple[frozenset[int], int]:
     """Source-set bitmasks of all burnings of g, and their least end time.
 
-    The state before step j is u[v] = max(best[v] - j + 1, 0), where best holds
-    the burn times under the sources so far: u[v] = 0 means v burned before
-    step j, 1 that v burns at step j, and > 1 that v is admissible.  A state
-    with no admissible vertex closes a burning; its end time is j if some
-    u[v] = 1 and j - 1 otherwise.  Subtracting j makes the state independent
-    of how many sources led to it, so each state is searched once and maps to
-    the source sets of its completions and their least end offset.
-
-    In times relative to the current step (u - 1), igniting v is `_ignite` at
-    step 0 followed by a shift of -1.  In u that is one comprehension:
-    u'[w] = min(u[w], d(v, w) + 1) - 1 for unburned w, and 0 for burned w.
-    Past `_SEARCH_STATES` states it raises `SizeGuardExceeded`.
+    Depth-first over the residual states (`_shift_ignite`): a state with no
+    admissible vertex closes a burning, with end offset 0 if some u[v] = 1
+    and -1 otherwise.  The states do not depend on how many sources led to
+    them, so each is searched once and maps to the source sets of its
+    completions and their least end offset.  Past `_SEARCH_STATES` states it
+    raises `SizeGuardExceeded`.
     """
     dist = distances(g)
-    memo: dict[tuple[float, ...], tuple[set[int], int]] = {}
+    memo: dict[State, tuple[set[int], int]] = {}
 
-    def visit(u: tuple[float, ...]) -> tuple[set[int], int]:
+    def visit(u: State) -> tuple[set[int], int]:
         found = memo.get(u)
         if found is not None:
             return found
         if len(memo) >= _SEARCH_STATES:
-            raise SizeGuardExceeded(
-                f"the burning search passed {_SEARCH_STATES:,} residual states "
-                f"on a graph with {g.vertex_count} vertices")
+            raise _too_many_states(g)
         sets: set[int] = set()
         least: float = INF
         for v, x in enumerate(u):
             if x > 1:
-                # min(y, d + 1) - 1 without the call to min.
-                child_sets, child_least = visit(tuple([
-                    (y - 1 if y <= d else d) if y else 0
-                    for y, d in zip(u, dist[v])]))
+                child_sets, child_least = visit(_shift_ignite(u, dist[v]))
                 bit = 1 << v
                 sets |= {m | bit for m in child_sets}
                 if child_least < least:
@@ -453,7 +530,7 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
     embedded = [embed(v) for v in b_h.sources]
-    for b_g in _burnings(g, embedded):
+    for b_g in _burnings(_StateGraph(g), embedded):
         try:
             validate_morphism(embed, b_h, b_g)
         except MorphismError:

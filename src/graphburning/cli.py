@@ -47,9 +47,11 @@ def load_graph(spec: str) -> Graph:
         return iterated_sum(int(count_text), load_graph(inner))
     if head.isalpha() or head == "complete_bipartite":
         parts = spec.split(":", 1)
-        params = []
-        if len(parts) == 2:
-            params = [int(x) for x in parts[1].split(",") if x.strip()]
+        texts = parts[1].split(",") if len(parts) == 2 else []
+        try:
+            params = [int(x) for x in texts if x.strip()]
+        except ValueError:
+            raise UsageError(f"bad graph {spec!r}; expected <family>:<int>,...") from None
         try:
             return build_named(head, *params)
         except GraphError as exc:
@@ -101,9 +103,10 @@ def cmd_burnings(args) -> int:
     burnings = enumerate_burnings(g)
     records = [_burning_record(b, args.one_based) for b in burnings]
     record = {"vertex_count": g.vertex_count, "burnings": records}
-    lines = [f"sources {','.join(map(str, rec['sources']))} end_time {rec['end_time']}"
-             + (" hom" if rec["is_homomorphism"] else "") for rec in records]
-    lines.append(f"total {len(burnings)}")
+    lines = [] if args.format == "json" else [
+        f"sources {','.join(map(str, rec['sources']))} end_time {rec['end_time']}"
+        + (" hom" if rec["is_homomorphism"] else "") for rec in records
+    ] + [f"total {len(burnings)}"]
     _emit(args, record, lines)
     return 0
 

@@ -92,8 +92,8 @@ def configuration_space(g: Graph) -> SimplicialComplex:
     return from_generators(g.vertex_count, source_sets(g))
 
 
-# Bounded to hold every degree of the last few complexes: `homology` asks for
-# each degree once per coefficient ring.
+# Bounded to hold every degree of the last few complexes: the chain complex
+# asks for each degree once, with and without the augmentation.
 @lru_cache(maxsize=32)
 def faces(c: SimplicialComplex, q: int) -> tuple[Simplex, ...]:
     """All q-dimensional faces in lexicographic order."""

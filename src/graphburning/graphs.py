@@ -343,16 +343,25 @@ def validate_graph_map(vertex_fn: Sequence[int], g: Graph, h: Graph) -> GraphMap
     for image in fn:
         if not 0 <= image < h.vertex_count:
             raise GraphMapError(f"image vertex {image} out of range")
-    homomorphism = True
-    for v, w in sorted(g.edges):
-        fv, fw = fn[v], fn[w]
-        if fv == fw:
-            homomorphism = False
-        elif not h.has_edge(fv, fw):
-            raise GraphMapError(
-                f"edge ({v}, {w}) maps to non-adjacent pair ({fv}, {fw})",
-                edge=(v, w))
-    return GraphMap(g, h, fn, homomorphism)
+    target = h.edges
+    collapsed = False
+    broken = []
+    for e in g.edges:
+        fv, fw = fn[e[0]], fn[e[1]]
+        if fv < fw:
+            if (fv, fw) not in target:
+                broken.append(e)
+        elif fw < fv:
+            if (fw, fv) not in target:
+                broken.append(e)
+        else:
+            collapsed = True
+    if broken:
+        v, w = min(broken)  # the least, so the error does not hang on set order
+        raise GraphMapError(
+            f"edge ({v}, {w}) maps to non-adjacent pair ({fn[v]}, {fn[w]})",
+            edge=(v, w))
+    return GraphMap(g, h, fn, not collapsed)
 
 
 def identity_map(g: Graph) -> GraphMap:

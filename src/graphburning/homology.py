@@ -11,8 +11,11 @@ face are removed together with that face, which keeps the integer homology.
 Homology over Z, Q and F_p all comes from one integer Smith normal form per
 restricted boundary of the surviving cells: by universal coefficients a
 boundary's rank over Q is the length of its Smith diagonal and over F_p the
-number of entries p does not divide.  Induced maps, which need cycles of the
-whole complex, and `matrix_rank_over` use the sparse field echelon.
+number of entries p does not divide.  That reduction (the chain complex with
+its boundary-squared check, the coreduction and the Smith forms) is cached
+per complex, so every ring after the first costs only the rank read-out.
+Induced maps, which need cycles of the whole complex, and `matrix_rank_over`
+use the sparse field echelon.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap, faces
@@ -129,14 +133,29 @@ def homology(c: SimplicialComplex, reduced: bool = False,
              coeff: str = "z") -> list[HomologyGroup]:
     """Homology groups per degree 0..dim c.
 
-    The complex is coreduced first (`_coreduce`).  Then the free rank in
-    degree q is (#surviving q-cells) - rank(d_q) - rank(d_{q+1}), plus the
-    H_0 generators taken out, with the ranks read off one Smith diagonal per
-    restricted boundary: over Z or Q the rank is the diagonal length, over F_p
-    the count of entries p does not divide.  Over Z the torsion is the part of
-    SNF(d_{q+1}) above 1; over a field it is empty.
+    The free rank in degree q is (#surviving q-cells) - rank(d_q) -
+    rank(d_{q+1}), plus the H_0 generators taken out, with the ranks read off
+    the Smith diagonals of `_reduction`: over Z or Q the rank is the diagonal
+    length, over F_p the count of entries p does not divide.  Over Z the
+    torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
     """
     p = parse_coeff(coeff)
+    generators, cells, diagonals = _reduction(c, reduced)
+    ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
+    return [HomologyGroup(
+        cells[q] + (generators if q == 0 else 0) - ranks[q] - ranks[q + 1],
+        () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
+        for q in range(len(cells))]
+
+
+# One integer reduction per complex, read by every coefficient ring: the
+# survey asks each complex for its homology over Z, Q and F_2 in turn.
+@lru_cache(maxsize=8)
+def _reduction(c: SimplicialComplex, reduced: bool) -> tuple[
+        int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The H_0 generators taken out by `_coreduce`, the surviving cells per
+    degree, and the Smith diagonal of each restricted boundary d_q for
+    q = 0..dim c + 1 (empty at both ends)."""
     cc = chain_complex(c, augmented=reduced)
     generators, alive = _coreduce(cc)
     top = len(cc.dims) - 1
@@ -146,11 +165,7 @@ def homology(c: SimplicialComplex, reduced: bool = False,
         [{i: x for i, x in cc.boundary(q)[j].items() if alive[q - 1][i]}
          for j in range(cc.dims[q]) if alive[q][j]]).diagonal
         for q in range(1, top + 1)] + [()]
-    ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
-    return [HomologyGroup(
-        sum(alive[q]) + (generators if q == 0 else 0) - ranks[q] - ranks[q + 1],
-        () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
-        for q in range(top + 1)]
+    return generators, tuple(sum(a) for a in alive), tuple(diagonals)
 
 
 def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:

@@ -33,7 +33,7 @@ from graphburning import (
     validate_morphism,
 )
 from graphburning import burning
-from graphburning.burning import _closed_form_witness, _search
+from graphburning.burning import _burnings, _closed_form_witness, _search, _StateGraph
 from graphburning.graphs import (
     Graph,
     Subgraph,
@@ -47,6 +47,7 @@ from graphburning.graphs import (
 
 from conftest import connected_graphs, graphs
 from filtration import filtration
+from prefix_dfs import prefix_burnings
 
 # Two five-vertex graphs burned by the same source pair: on the first the
 # burning map preserves every edge, on the second one edge collapses.
@@ -137,6 +138,53 @@ def test_enumeration_matches_literal_filtration(g):
     # The memoised search shares no step with this oracle either.
     assert set(source_sets(g)) == {tuple(sorted(seq)) for seq, _, _ in brute}
     assert burning_number(g) == min(end for _, _, end in brute)
+
+
+def _listed(burnings):
+    return [(b.sources, b.times, b.end_time) for b in burnings]
+
+
+@given(graphs(max_vertices=7))
+@settings(max_examples=40, deadline=None)
+def test_listing_matches_prefix_dfs(g):
+    """The walk over residual states lists what the prefix DFS lists, in order.
+
+    Every one- and two-vertex prefix too, admissible or not.
+    """
+    assert _listed(enumerate_burnings(g)) == _listed(prefix_burnings(g))
+    for v in g.vertices:
+        for start in [(v,)] + [(v, w) for w in g.vertices]:
+            listed = _burnings(_StateGraph(g), start)
+            assert _listed(listed) == _listed(prefix_burnings(g, start)), start
+
+
+def test_listing_matches_prefix_dfs_on_families():
+    cases = ([path_graph(n) for n in range(1, 11)] + [cycle_graph(n) for n in range(3, 11)]
+             + [iterated_sum(k, path_graph(2)) for k in range(1, 5)])
+    for g in cases:
+        assert _listed(enumerate_burnings(g)) == _listed(prefix_burnings(g))
+
+
+def test_completion_counts():
+    """A state's count is the sum over its children; k x P2 has k! 2^k burnings."""
+    for g in [path_graph(n) for n in range(1, 13)] + [cycle_graph(12)]:
+        assert _StateGraph(g).completions() == len(enumerate_burnings(g))
+    for k in range(1, 9):
+        g = iterated_sum(k, path_graph(2))
+        assert _StateGraph(g).completions() == math.factorial(k) * 2 ** k
+
+
+def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
+    def must_not_list(*args, **kwargs):
+        raise AssertionError("the listing started")
+
+    monkeypatch.setattr(burning, "_burnings", must_not_list)
+    with pytest.raises(SizeGuardExceeded, match="has 645,120 burnings"):
+        enumerate_burnings(iterated_sum(7, path_graph(2)))
+    # The count shares the search's state budget: 7xP2 has 897 states.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
+    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
+        enumerate_burnings(iterated_sum(7, path_graph(2)))
 
 
 @given(graphs(max_vertices=6))

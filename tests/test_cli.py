@@ -32,6 +32,15 @@ def test_load_graph_builders(tmp_path):
     for spec in ("sum:3", "sum:x,path:2"):
         with pytest.raises(UsageError, match="expected sum:<count>,<graph>"):
             load_graph(spec)
+    for spec in ("path:x", "bipartite:2,y", "cycle:3.5"):
+        with pytest.raises(UsageError, match="expected <family>:<int>,..."):
+            load_graph(spec)
+
+
+def test_bad_builder_parameters_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "burning-number", "path:x")
+    assert code == 2 and not out
+    assert err == "error: bad graph 'path:x'; expected <family>:<int>,...\n"
 
 
 def test_parse_sources():
@@ -146,6 +155,11 @@ def test_listing_budget_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 50)
     code, out, err = run(capsys, "burnings", "path:12")
     assert code == 2 and not out and "50 burnings" in err
+
+
+def test_oversized_listing_is_refused_at_once(capsys):
+    code, out, err = run(capsys, "burnings", "sum:7,path:2")
+    assert code == 2 and not out and "has 645,120 burnings" in err
 
 
 def test_subgraph_budget_fails_fast(capsys, monkeypatch):

@@ -175,6 +175,23 @@ def test_graph_map_validation():
         validate_graph_map((0, 1), g, h)
 
 
+def test_graph_map_reports_the_least_broken_edge():
+    # On P4 -> P4 by (0, 2, 1, 3) the edges (0, 1) and (2, 3) both map to
+    # non-adjacent pairs; (1, 2) maps to an edge.
+    g = path_graph(4)
+    with pytest.raises(GraphMapError) as err:
+        validate_graph_map((0, 2, 1, 3), g, g)
+    assert err.value.edge == (0, 1)
+    assert str(err.value) == "edge (0, 1) maps to non-adjacent pair (0, 2)"
+    # An image pair against the edge's order: (0, 2) -> (3, 0) and
+    # (2, 3) -> (0, 2) break, (1, 3) -> (1, 2) does not.
+    h = Graph.from_edges(4, [(2, 3), (1, 3), (0, 2)])
+    with pytest.raises(GraphMapError) as err:
+        validate_graph_map((3, 1, 0, 2), h, g)
+    assert err.value.edge == (0, 2)
+    assert str(err.value) == "edge (0, 2) maps to non-adjacent pair (3, 0)"
+
+
 def test_graph_map_composition():
     g = path_graph(4)
     fold = validate_graph_map((0, 1, 2, 1), g, path_graph(3))

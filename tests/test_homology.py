@@ -36,6 +36,7 @@ from graphburning.exactlinalg import FieldEchelon, determinantal_divisor_snf
 from graphburning.graphs import Graph
 from graphburning.homology import (
     _coreduce,
+    _reduction,
     boundary_of,
     chain_map_matrix,
     homology_to_record,
@@ -335,6 +336,49 @@ def test_coreduction_leaves_few_cells():
     # With the augmentation the first vertex pairs with it: one generator fewer.
     generators, _ = _coreduce(chain_complex(SCATTERED, augmented=True))
     assert generators == 3
+
+
+RINGS = ("z", "q", "p:2", "p:3")
+
+
+def _assert_cached_reduction_matches(c):
+    """Fresh and cached reductions agree with each other and with the oracle."""
+    for reduced in (False, True):
+        _reduction.cache_clear()
+        fresh = [homology(c, reduced, coeff) for coeff in RINGS]
+        assert _reduction.cache_info().misses == 1
+        assert [homology(c, reduced, coeff) for coeff in RINGS] == fresh
+        assert fresh == [unreduced_homology(c, reduced, coeff) for coeff in RINGS]
+        free = [[h.free_rank for h in groups] for groups in fresh[1:]]
+        assert free == [_elimination_free_ranks(c, reduced, coeff) for coeff in RINGS[1:]]
+
+
+@given(complexes())
+@settings(max_examples=60, deadline=None)
+def test_one_reduction_serves_every_ring(c):
+    _assert_cached_reduction_matches(c)
+
+
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE), SCATTERED],
+                         ids=["RP2", "suspension-RP2", "scattered"])
+def test_one_reduction_serves_every_ring_with_torsion(c):
+    _assert_cached_reduction_matches(c)
+
+
+def test_reduction_cache_is_bounded_and_reused():
+    # The survey asks each complex for H over Z, then Q, then F_2: one
+    # reduction, then two cache hits.  The augmented complex is its own entry.
+    _reduction.cache_clear()
+    spaces = [configuration_space(path_graph(n)) for n in range(1, 13)]
+    for n, c in enumerate(spaces, start=1):
+        for coeff in ("z", "q", "p:2"):
+            homology(c, coeff=coeff)
+        info = _reduction.cache_info()
+        assert (info.misses, info.hits) == (2 * n - 1, 2 * n)
+        homology(c, reduced=True)
+        info = _reduction.cache_info()
+        assert (info.misses, info.hits) == (2 * n, 2 * n)
+    assert _reduction.cache_info().currsize < len(spaces)
 
 
 def test_homology_record():

@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 
 import graphburning
 
@@ -20,3 +22,19 @@ def test_no_size_cap_parameters():
             continue
         capped += [(name, p) for p in signature.parameters if p.startswith("max_")]
     assert not capped
+
+
+def test_every_cache_is_bounded():
+    """A long-running process keeps only the last few results of any cache."""
+    caches = {}
+    for info in pkgutil.iter_modules(graphburning.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"graphburning.{info.name}")
+        scopes = [vars(module)] + [vars(c) for c in vars(module).values()
+                                   if inspect.isclass(c) and c.__module__ == module.__name__]
+        caches.update((f"{obj.__module__}.{obj.__qualname__}", obj.cache_parameters()["maxsize"])
+                      for scope in scopes for obj in scope.values()
+                      if hasattr(obj, "cache_parameters"))
+    assert len(caches) >= 6  # _search, _reduction, faces, distances, ...
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []
