@@ -10,8 +10,9 @@ search yields without building any ordered burning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, groupby
+from operator import or_
 from typing import Iterable, Sequence
 
 from .burning import source_sets
@@ -32,7 +33,7 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ComplexError("complex needs at least one vertex")
-        covered: set[int] = set()
+        masks: list[int] = []
         for f in self.facets:
             if not f:
                 raise ComplexError("empty facet")
@@ -40,13 +41,17 @@ class SimplicialComplex:
                 raise ComplexError(f"facet {f} not sorted and duplicate-free")
             if f[0] < 0 or f[-1] >= self.vertex_count:
                 raise ComplexError(f"facet {f} has out-of-range vertices")
-            covered.update(f)
-        if covered != set(range(self.vertex_count)):
+            masks.append(sum(1 << v for v in f))
+        if reduce(or_, masks, 0) != (1 << self.vertex_count) - 1:
             raise ComplexError("every vertex must lie in some facet")
-        facet_sets = [set(f) for f in self.facets]
-        for a, b in combinations(facet_sets, 2):
-            if a <= b or b <= a:
+        # Distinct facets, so one can only lie inside a strictly larger one.
+        larger: list[int] = []
+        for _, group in groupby(sorted(masks, key=int.bit_count, reverse=True),
+                                key=int.bit_count):
+            same_size = list(group)
+            if any(a & b == a for a in same_size for b in larger):
                 raise ComplexError("facets must form an antichain")
+            larger += same_size
 
     @property
     def dimension(self) -> int:

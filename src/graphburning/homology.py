@@ -4,18 +4,26 @@ Simplexes are stored with ascending vertices; the boundary of [u_0 < ... < u_q]
 is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
 u_i.  Each boundary is stored once, as sparse columns {face index: sign} on
 the lexicographic face bases, and every consumer reads that one form.
-`homology()` first shrinks the complex by coreduction (Mrozek-Batko,
+Before it builds any face, `homology()` strong-collapses the complex to its
+core on the facets alone: a vertex v is deleted while every facet that
+contains v also contains some fixed v' != v, which keeps the homotopy type
+(Barmak-Minian, Strong homotopy types, nerves and collapses, DCG 2012; on an
+independence complex this is Engstrom's fold lemma).  conf(P_n) collapses to
+a point or to the boundary of a cross-polytope, Kozlov's homotopy type.  The
+degrees the core lost are reported as zero groups up to the input's
+dimension.  The core is then shrunk by coreduction (Mrozek-Batko,
 Coreduction homology algorithm, DCG 2009): one vertex per component is taken
 out as a generator of H_0, then cells that have a single remaining boundary
 face are removed together with that face, which keeps the integer homology.
 Homology over Z, Q and F_p all comes from one integer Smith normal form per
 restricted boundary of the surviving cells: by universal coefficients a
 boundary's rank over Q is the length of its Smith diagonal and over F_p the
-number of entries p does not divide.  That reduction (the chain complex with
-its boundary-squared check, the coreduction and the Smith forms) is cached
-per complex, so every ring after the first costs only the rank read-out.
-Induced maps, which need cycles of the whole complex, and `matrix_rank_over`
-use the sparse field echelon.
+number of entries p does not divide.  That reduction (the strong core, its
+chain complex with the boundary-squared check, the coreduction and the Smith
+forms) is cached per complex, so every ring after the first costs only the
+rank read-out.  Induced maps, which need cycles of the whole complex, and
+`matrix_rank_over` use the sparse field echelon; `euler_characteristic`
+counts the faces of the whole complex.
 """
 
 from __future__ import annotations
@@ -155,8 +163,9 @@ def _reduction(c: SimplicialComplex, reduced: bool) -> tuple[
         int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The H_0 generators taken out by `_coreduce`, the surviving cells per
     degree, and the Smith diagonal of each restricted boundary d_q for
-    q = 0..dim c + 1 (empty at both ends)."""
-    cc = chain_complex(c, augmented=reduced)
+    q = 0..dim c + 1 (empty at both ends), all read on the strong core of c."""
+    core = _strong_core(c)
+    cc = chain_complex(core, augmented=reduced)
     generators, alive = _coreduce(cc)
     top = len(cc.dims) - 1
     # Every surviving vertex lost its faces (the augmentation cell, if any).
@@ -165,7 +174,44 @@ def _reduction(c: SimplicialComplex, reduced: bool) -> tuple[
         [{i: x for i, x in cc.boundary(q)[j].items() if alive[q - 1][i]}
          for j in range(cc.dims[q]) if alive[q][j]]).diagonal
         for q in range(1, top + 1)] + [()]
-    return generators, tuple(sum(a) for a in alive), tuple(diagonals)
+    # The core may have lost top degrees; they have no cells and no boundary.
+    missing = c.dimension - core.dimension
+    return (generators, tuple(sum(a) for a in alive) + (0,) * missing,
+            tuple(diagonals) + ((),) * missing)
+
+
+def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
+    """The complex left once no vertex is dominated, relabelled 0..m-1.
+
+    Facets are vertex bitmasks.  Deleting a dominated v shrinks only the
+    facets that held v; none of them can fall inside another that held v, so
+    each is tested against the untouched ones.  The vertex dominating v stays,
+    so no component is lost.
+    """
+    masks = [sum(1 << v for v in f) for f in c.facets]
+    vertices = list(range(c.vertex_count))
+    while True:
+        survivors = []
+        for v in vertices:
+            bit = 1 << v
+            common = -1
+            for m in masks:
+                if m & bit:
+                    common &= m
+            if common == bit:
+                survivors.append(v)
+                continue
+            untouched = [m for m in masks if not m & bit]
+            masks = untouched + [
+                s for s in (m ^ bit for m in masks if m & bit)
+                if not any(s & m == s for m in untouched)]
+        if len(survivors) == len(vertices):
+            break
+        vertices = survivors
+    if len(vertices) == c.vertex_count:
+        return c
+    return SimplicialComplex(len(vertices), frozenset(
+        tuple(i for i, v in enumerate(vertices) if m >> v & 1) for m in masks))
 
 
 def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:

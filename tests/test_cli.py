@@ -98,6 +98,16 @@ def test_homology_command(capsys):
     assert out.splitlines() == ["H~_0 = 0", "H~_1 = Z", "H~_2 = 0"]
 
 
+def test_homology_reports_degrees_the_core_collapsed(capsys):
+    # conf(P13) is 6-dimensional and its strong core is a point.
+    code, out, _ = run(capsys, "homology", "path:13")
+    assert code == 0 and out.splitlines() == ["H_0 = Z"] + [f"H_{q} = 0" for q in range(1, 7)]
+    code, out, _ = run(capsys, "--format", "json", "homology", "--reduced", "path:13")
+    groups = json.loads(out)["groups"]
+    assert [g["degree"] for g in groups] == list(range(7))
+    assert all(g["free_rank"] == 0 and not g["torsion"] for g in groups)
+
+
 def test_homology_rejects_bad_coefficients_before_the_search(capsys, monkeypatch):
     searched = []
     monkeypatch.setattr(cli, "configuration_space", searched.append)

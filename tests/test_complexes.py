@@ -41,6 +41,23 @@ def test_complex_validation():
         SimplicialComplex(2, frozenset({(0, 3)}))  # out of range
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.sets(
+    st.sets(st.integers(0, n - 1), min_size=1).map(lambda s: tuple(sorted(s))),
+    min_size=1, max_size=8).map(lambda fs: (n, fs))))
+@settings(max_examples=200, deadline=None)
+def test_antichain_check_matches_pairwise_sets(case):
+    n, facets = case
+    facets |= {(v,) for v in range(n)
+               if not any(v in f for f in facets)}  # cover every vertex
+    nested = any(set(a) < set(b) for a in facets for b in facets)
+    try:
+        SimplicialComplex(n, frozenset(facets))
+    except ComplexError as err:
+        assert nested and str(err) == "facets must form an antichain"
+    else:
+        assert not nested
+
+
 def test_from_generators_absorbs_faces():
     c = from_generators(3, [(0, 1), (0, 1, 2), (2,), (1, 0)])
     assert c.facets == frozenset({(0, 1, 2)})

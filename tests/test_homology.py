@@ -18,6 +18,7 @@ from graphburning import (
     chain_complex,
     classify,
     compose_simplicial_maps,
+    cone,
     configuration_space,
     cycle_graph,
     disjoint_union,
@@ -37,6 +38,7 @@ from graphburning.graphs import Graph
 from graphburning.homology import (
     _coreduce,
     _reduction,
+    _strong_core,
     boundary_of,
     chain_map_matrix,
     homology_to_record,
@@ -379,6 +381,79 @@ def test_reduction_cache_is_bounded_and_reused():
         info = _reduction.cache_info()
         assert (info.misses, info.hits) == (2 * n, 2 * n)
     assert _reduction.cache_info().currsize < len(spaces)
+
+
+@st.composite
+def scattered_complexes(draw):
+    """Side by side: up to three random complexes and up to two isolated vertices."""
+    parts = draw(st.lists(complexes(max_vertices=5, max_facets=5), min_size=1, max_size=3))
+    isolated = draw(st.integers(0, 2))
+    generators: list[tuple[int, ...]] = []
+    n = 0
+    for part in parts:
+        generators += [tuple(v + n for v in f) for f in part.facets]
+        n += part.vertex_count
+    generators += [(v,) for v in range(n, n + isolated)]
+    return from_generators(n + isolated, generators)
+
+
+@given(scattered_complexes())
+@settings(max_examples=80, deadline=None)
+def test_strong_core_keeps_homology(c):
+    core = _strong_core(c)
+    assert _strong_core(core) is core  # no dominated vertex is left
+    # The oracle builds and reduces every face of the whole complex, and
+    # returns one group per degree 0..dim c.
+    _assert_matches_unreduced_route(c)
+
+
+def test_strong_core_keeps_projective_plane_torsion():
+    # The 6-vertex RP^2 has no dominated vertex; a tetrahedron glued on one
+    # of its triangles has one, and collapses back onto RP^2.
+    assert _strong_core(PROJECTIVE_PLANE) is PROJECTIVE_PLANE
+    glued = from_generators(7, sorted(PROJECTIVE_PLANE.facets - {(0, 1, 2)}) + [(0, 1, 2, 6)])
+    assert _strong_core(glued) == PROJECTIVE_PLANE
+    assert [str(h) for h in homology(glued)] == ["Z", "Z/2", "0", "0"]
+    _assert_matches_unreduced_route(glued)
+
+
+def test_collapsed_degrees_are_still_reported():
+    # Both collapse to a point; every degree up to the input's dimension stays.
+    p13 = configuration_space(path_graph(13))
+    coned = cone(PROJECTIVE_PLANE)
+    for c in (p13, coned):
+        assert _strong_core(c).vertex_count == 1
+        assert [str(h) for h in homology(c)] == ["Z"] + ["0"] * c.dimension
+        assert [str(h) for h in homology(c, reduced=True, coeff="p:2")] == [
+            "0"] * (c.dimension + 1)
+    assert p13.dimension == 6 and coned.dimension == 3
+
+
+def _assert_cross_polytope_boundary(c, k):
+    """2k vertices in k pairs that share no facet; the 2^k facets are every
+    choice of one vertex per pair."""
+    vertices = range(c.vertex_count)
+    assert c.vertex_count == 2 * k and len(c.facets) == 2 ** k
+    apart = {v: [w for w in vertices if w != v
+                 and not any(v in f and w in f for f in c.facets)] for v in vertices}
+    assert all(len(others) == 1 for others in apart.values())
+    pairs = {tuple(sorted((v, others[0]))) for v, others in apart.items()}
+    assert len(pairs) == k
+    assert all(len(f) == k and all(len(set(f) & set(pair)) == 1 for pair in pairs)
+               for f in c.facets)
+
+
+def test_path_cores_match_kozlov():
+    # Kozlov (JCTA 1999): Ind(P_n) is a point for n = 3k+1 and S^{k-1} for
+    # n = 3k-1 or n = 3k; the core is that point or the boundary of the
+    # k-cross-polytope, so it certifies the homotopy type.
+    for n in range(1, 21):
+        core = _strong_core(configuration_space(path_graph(n)))
+        k, r = divmod(n + 1, 3)
+        if r == 2:
+            assert core == SimplicialComplex(1, frozenset({(0,)})), n
+        else:
+            _assert_cross_polytope_boundary(core, k)
 
 
 def test_homology_record():
