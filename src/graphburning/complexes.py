@@ -1,16 +1,17 @@
 """Finite abstract simplicial complexes stored by their facets.
 
-A complex is a vertex count plus the antichain of inclusion-maximal simplexes;
-all lower faces are derived on demand.  Generators are absorbed into facets as
-vertex bitmasks.  The burning configuration space of a graph is the complex
-generated by the source sets of all its burnings, which the memoised burning
-search yields without building any ordered burning.
+A complex is a vertex count plus the antichain of inclusion-maximal simplexes
+as vertex bitmasks (bit v set iff v is in the facet), a format no other module
+reads; `facets` views them as ascending tuples, and lower faces are derived on
+demand.  The burning configuration space of a graph is the complex generated
+by the source sets of all its burnings, which the memoised burning search
+yields as masks without building any ordered burning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, groupby
 from operator import or_
 from typing import Iterable, Sequence
@@ -28,42 +29,49 @@ class ComplexError(ValueError):
 @dataclass(frozen=True)
 class SimplicialComplex:
     vertex_count: int
-    facets: frozenset[Simplex]
+    masks: frozenset[int]
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ComplexError("complex needs at least one vertex")
-        masks: list[int] = []
-        for f in self.facets:
-            if not f:
-                raise ComplexError("empty facet")
-            if list(f) != sorted(set(f)):
-                raise ComplexError(f"facet {f} not sorted and duplicate-free")
-            if f[0] < 0 or f[-1] >= self.vertex_count:
-                raise ComplexError(f"facet {f} has out-of-range vertices")
-            masks.append(sum(1 << v for v in f))
-        if reduce(or_, masks, 0) != (1 << self.vertex_count) - 1:
-            raise ComplexError("every vertex must lie in some facet")
+        if 0 in self.masks:
+            raise ComplexError("empty facet")
+        # Out-of-range bits and uncovered vertices both break this equality.
+        if reduce(or_, self.masks, 0) != (1 << self.vertex_count) - 1:
+            raise ComplexError(f"facets must cover exactly 0..{self.vertex_count - 1}")
         # Distinct facets, so one can only lie inside a strictly larger one.
         larger: list[int] = []
-        for _, group in groupby(sorted(masks, key=int.bit_count, reverse=True),
+        for _, group in groupby(sorted(self.masks, key=int.bit_count, reverse=True),
                                 key=int.bit_count):
             same_size = list(group)
             if any(a & b == a for a in same_size for b in larger):
                 raise ComplexError("facets must form an antichain")
             larger += same_size
 
+    @cached_property
+    def facets(self) -> frozenset[Simplex]:
+        """The facets as ascending vertex tuples."""
+        return frozenset(_vertices(m) for m in self.masks)
+
     @property
     def dimension(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self.masks) - 1
 
     def has_face(self, simplex: Sequence[int]) -> bool:
-        s = set(simplex)
-        return any(s <= set(f) for f in self.facets)
+        mask = 0
+        for v in simplex:
+            if not 0 <= v < self.vertex_count:
+                return False
+            mask |= 1 << v
+        return any(mask & m == mask for m in self.masks)
 
     def to_record(self) -> dict:
         return {"vertex_count": self.vertex_count,
                 "facets": sorted(list(f) for f in self.facets)}
+
+
+def _vertices(mask: int) -> Simplex:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -87,9 +95,7 @@ def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> Si
                 break
         else:
             kept.append(mask)
-    return SimplicialComplex(vertex_count, frozenset(
-        tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-        for mask in kept))
+    return SimplicialComplex(vertex_count, frozenset(kept))
 
 
 def configuration_space(g: Graph) -> SimplicialComplex:
@@ -97,8 +103,7 @@ def configuration_space(g: Graph) -> SimplicialComplex:
     return from_generators(g.vertex_count, source_sets(g))
 
 
-# Bounded to hold every degree of the last few complexes: the chain complex
-# asks for each degree once, with and without the augmentation.
+# Bounded to hold every degree of the last few complexes.
 @lru_cache(maxsize=32)
 def faces(c: SimplicialComplex, q: int) -> tuple[Simplex, ...]:
     """All q-dimensional faces in lexicographic order."""
@@ -115,13 +120,13 @@ def skeleton(c: SimplicialComplex, n: int) -> SimplicialComplex:
     """The subcomplex of faces of dimension at most n."""
     if n < 0:
         raise ComplexError("dimension must be >= 0")
-    generators: set[Simplex] = set()
-    for f in c.facets:
-        if len(f) <= n + 1:
-            generators.add(f)
+    masks: set[int] = set()
+    for m in c.masks:
+        if m.bit_count() <= n + 1:
+            masks.add(m)
         else:
-            generators.update(combinations(f, n + 1))
-    return SimplicialComplex(c.vertex_count, frozenset(generators))
+            masks.update(sum(1 << v for v in s) for s in combinations(_vertices(m), n + 1))
+    return SimplicialComplex(c.vertex_count, frozenset(masks))
 
 
 def one_skeleton_graph(c: SimplicialComplex) -> Graph:
@@ -137,16 +142,49 @@ def graph_as_complex(g: Graph) -> SimplicialComplex:
 
 def cone(c: SimplicialComplex) -> SimplicialComplex:
     """Add an apex vertex joined to every simplex; apex index = old vertex count."""
-    apex = c.vertex_count
-    facets = frozenset(f + (apex,) for f in c.facets)
-    return SimplicialComplex(c.vertex_count + 1, facets)
+    apex = 1 << c.vertex_count
+    return SimplicialComplex(c.vertex_count + 1, frozenset(m | apex for m in c.masks))
 
 
 def suspension(c: SimplicialComplex) -> SimplicialComplex:
     """Add two poles, each joined to every simplex."""
-    south, north = c.vertex_count, c.vertex_count + 1
-    facets = frozenset(f + (p,) for f in c.facets for p in (south, north))
-    return SimplicialComplex(c.vertex_count + 2, facets)
+    south, north = 1 << c.vertex_count, 2 << c.vertex_count
+    return SimplicialComplex(c.vertex_count + 2, frozenset(
+        m | pole for m in c.masks for pole in (south, north)))
+
+
+def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
+    """The complex left once no vertex is dominated, relabelled 0..m-1.
+
+    v is dominated when every facet holding v also holds some fixed v' != v.
+    Deleting v shrinks only the facets that held v; none of them can fall
+    inside another that held v, so each is tested against the untouched ones.
+    The vertex dominating v stays, so no component is lost.
+    """
+    masks = list(c.masks)
+    vertices = list(range(c.vertex_count))
+    while True:
+        survivors = []
+        for v in vertices:
+            bit = 1 << v
+            common = -1
+            for m in masks:
+                if m & bit:
+                    common &= m
+            if common == bit:
+                survivors.append(v)
+                continue
+            untouched = [m for m in masks if not m & bit]
+            masks = untouched + [
+                s for s in (m ^ bit for m in masks if m & bit)
+                if not any(s & m == s for m in untouched)]
+        if len(survivors) == len(vertices):
+            break
+        vertices = survivors
+    if len(vertices) == c.vertex_count:
+        return c
+    return SimplicialComplex(len(vertices), frozenset(
+        sum(1 << i for i, v in enumerate(vertices) if m >> v & 1) for m in masks))
 
 
 # ---------------------------------------------------------------------------

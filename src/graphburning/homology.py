@@ -5,22 +5,21 @@ is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
 u_i.  Each boundary is stored once, as sparse columns {face index: sign} on
 the lexicographic face bases, and every consumer reads that one form.
 Before it builds any face, `homology()` strong-collapses the complex to its
-core on the facets alone: a vertex v is deleted while every facet that
-contains v also contains some fixed v' != v, which keeps the homotopy type
-(Barmak-Minian, Strong homotopy types, nerves and collapses, DCG 2012; on an
-independence complex this is Engstrom's fold lemma).  conf(P_n) collapses to
-a point or to the boundary of a cross-polytope, Kozlov's homotopy type.  The
-degrees the core lost are reported as zero groups up to the input's
-dimension.  The core is then shrunk by coreduction (Mrozek-Batko,
-Coreduction homology algorithm, DCG 2009): one vertex per component is taken
-out as a generator of H_0, then cells that have a single remaining boundary
-face are removed together with that face, which keeps the integer homology.
-Homology over Z, Q and F_p all comes from one integer Smith normal form per
-restricted boundary of the surviving cells: by universal coefficients a
-boundary's rank over Q is the length of its Smith diagonal and over F_p the
-number of entries p does not divide.  That reduction (the strong core, its
-chain complex with the boundary-squared check, the coreduction and the Smith
-forms) is cached per complex, so every ring after the first costs only the
+core (`complexes._strong_core`), which keeps the homotopy type (Barmak-Minian,
+Strong homotopy types, nerves and collapses, DCG 2012; on an independence
+complex this is Engstrom's fold lemma).  conf(P_n) collapses to a point or to
+the boundary of a cross-polytope, Kozlov's homotopy type.  The degrees the
+core lost are reported as zero groups up to the input's dimension.  The core
+is then shrunk by coreduction (Mrozek-Batko, Coreduction homology algorithm,
+DCG 2009): each vertex still alive is taken out as a generator of H_0, and
+cells that have a single remaining boundary face are removed together with
+that face, which keeps the integer homology.  Homology over Z, Q and F_p all
+comes from one integer Smith normal form per restricted boundary of the
+surviving cells: by universal coefficients a boundary's rank over Q is the
+length of its Smith diagonal and over F_p the number of entries p does not
+divide.  That reduction (the strong core, its chain complex with the
+boundary-squared check, the coreduction and the Smith forms) is cached per
+complex, so every ring after the first, and the reduced groups, cost only the
 rank read-out.  Induced maps, which need cycles of the whole complex, and
 `matrix_rank_over` use the sparse field echelon; `euler_characteristic`
 counts the faces of the whole complex.
@@ -34,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .complexes import SimplicialComplex, SimplicialMap, faces
+from .complexes import SimplicialComplex, SimplicialMap, _strong_core, faces
 from .exactlinalg import (
     FieldEchelon,
     InvariantError,
@@ -142,16 +141,17 @@ def homology(c: SimplicialComplex, reduced: bool = False,
     """Homology groups per degree 0..dim c.
 
     The free rank in degree q is (#surviving q-cells) - rank(d_q) -
-    rank(d_{q+1}), plus the H_0 generators taken out, with the ranks read off
+    rank(d_{q+1}), plus the H_0 generators taken out (one fewer when
+    reduced; a complex always has a vertex), with the ranks read off
     the Smith diagonals of `_reduction`: over Z or Q the rank is the diagonal
     length, over F_p the count of entries p does not divide.  Over Z the
     torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
     """
     p = parse_coeff(coeff)
-    generators, cells, diagonals = _reduction(c, reduced)
+    generators, cells, diagonals = _reduction(c)
     ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
     return [HomologyGroup(
-        cells[q] + (generators if q == 0 else 0) - ranks[q] - ranks[q + 1],
+        cells[q] + (generators - reduced if q == 0 else 0) - ranks[q] - ranks[q + 1],
         () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
         for q in range(len(cells))]
 
@@ -159,16 +159,15 @@ def homology(c: SimplicialComplex, reduced: bool = False,
 # One integer reduction per complex, read by every coefficient ring: the
 # survey asks each complex for its homology over Z, Q and F_2 in turn.
 @lru_cache(maxsize=8)
-def _reduction(c: SimplicialComplex, reduced: bool) -> tuple[
+def _reduction(c: SimplicialComplex) -> tuple[
         int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The H_0 generators taken out by `_coreduce`, the surviving cells per
     degree, and the Smith diagonal of each restricted boundary d_q for
     q = 0..dim c + 1 (empty at both ends), all read on the strong core of c."""
     core = _strong_core(c)
-    cc = chain_complex(core, augmented=reduced)
+    cc = chain_complex(core)
     generators, alive = _coreduce(cc)
     top = len(cc.dims) - 1
-    # Every surviving vertex lost its faces (the augmentation cell, if any).
     # The columns of d_q are the rows of its transpose, which has the same Smith form.
     diagonals = [()] + [smith_normal_form(
         [{i: x for i, x in cc.boundary(q)[j].items() if alive[q - 1][i]}
@@ -180,49 +179,16 @@ def _reduction(c: SimplicialComplex, reduced: bool) -> tuple[
             tuple(diagonals) + ((),) * missing)
 
 
-def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
-    """The complex left once no vertex is dominated, relabelled 0..m-1.
-
-    Facets are vertex bitmasks.  Deleting a dominated v shrinks only the
-    facets that held v; none of them can fall inside another that held v, so
-    each is tested against the untouched ones.  The vertex dominating v stays,
-    so no component is lost.
-    """
-    masks = [sum(1 << v for v in f) for f in c.facets]
-    vertices = list(range(c.vertex_count))
-    while True:
-        survivors = []
-        for v in vertices:
-            bit = 1 << v
-            common = -1
-            for m in masks:
-                if m & bit:
-                    common &= m
-            if common == bit:
-                survivors.append(v)
-                continue
-            untouched = [m for m in masks if not m & bit]
-            masks = untouched + [
-                s for s in (m ^ bit for m in masks if m & bit)
-                if not any(s & m == s for m in untouched)]
-        if len(survivors) == len(vertices):
-            break
-        vertices = survivors
-    if len(vertices) == c.vertex_count:
-        return c
-    return SimplicialComplex(len(vertices), frozenset(
-        tuple(i for i, v in enumerate(vertices) if m >> v & 1) for m in masks))
-
-
 def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
     """The H_0 generators taken out, and a flag per cell: 1 if it survives.
 
-    One vertex of each component is taken out first, a free generator of H_0;
-    when augmented, the first of them and the augmentation cell form a pair
-    instead.  Then a work queue removes coreduction pairs: a cell with a
-    single remaining boundary face, together with that face.  Their incidence
-    is +-1, so the restricted boundaries of the surviving cells, unchanged
-    otherwise, have the same integer homology, torsion included.
+    Each vertex still alive is taken out as a free generator of H_0, and a
+    work queue then removes coreduction pairs: a cell with a single remaining
+    boundary face, together with that face.  Their incidence is +-1, so the
+    restricted boundaries of the surviving cells, unchanged otherwise, have
+    the same integer homology, torsion included.  A drain leaves no live edge
+    with one live end, so no live vertex is left in a component whose H_0 it
+    emptied: one generator per component, one fewer when augmented.
     """
     top = len(cc.dims) - 1
     alive = [bytearray(b"\1") * n for n in cc.dims]
@@ -241,26 +207,19 @@ def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
             if remaining[q + 1][k] == 1:
                 queue.append((q + 1, k))
 
-    component = list(range(cc.dim(0)))
-
-    def find(v: int) -> int:
-        while component[v] != v:
-            component[v] = v = component[component[v]]
-        return v
-
-    for column in cc.boundary(1):
-        a, b = column
-        component[find(a)] = find(b)
-    seeds = [v for v in range(cc.dim(0)) if find(v) == v]
-    for v in seeds:
+    generators = 0
+    for v in range(cc.dim(0)):
+        if not alive[0][v]:
+            continue
+        generators += 1
         remove(0, v)
-    while queue:
-        q, j = queue.popleft()
-        if alive[q][j] and remaining[q][j] == 1:
-            face = next(i for i in cc.boundary(q)[j] if alive[q - 1][i])
-            remove(q, j)
-            remove(q - 1, face)
-    return len(seeds) - cc.augmented, alive
+        while queue:
+            q, j = queue.popleft()
+            if alive[q][j] and remaining[q][j] == 1:
+                face = next(i for i in cc.boundary(q)[j] if alive[q - 1][i])
+                remove(q, j)
+                remove(q - 1, face)
+    return generators - cc.augmented, alive
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,19 +28,20 @@ from graphburning import (
 
 from conftest import complexes, graphs
 
-FULL_TRIANGLE = SimplicialComplex(3, frozenset({(0, 1, 2)}))
-HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({(0, 1), (0, 2), (1, 2)}))
+# Bit v of a facet mask is set iff vertex v is in the facet.
+FULL_TRIANGLE = SimplicialComplex(3, frozenset({0b111}))
+HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({0b011, 0b101, 0b110}))
 
 
 def test_complex_validation():
-    with pytest.raises(ComplexError):
-        SimplicialComplex(3, frozenset({(0, 1)}))  # vertex 2 uncovered
-    with pytest.raises(ComplexError):
-        SimplicialComplex(2, frozenset({(0,), (0, 1)}))  # not an antichain
-    with pytest.raises(ComplexError):
-        SimplicialComplex(2, frozenset({(1, 0)}))  # unsorted facet
-    with pytest.raises(ComplexError):
-        SimplicialComplex(2, frozenset({(0, 3)}))  # out of range
+    with pytest.raises(ComplexError, match="empty facet"):
+        SimplicialComplex(1, frozenset({0b1, 0}))
+    with pytest.raises(ComplexError, match="cover exactly"):
+        SimplicialComplex(3, frozenset({0b011}))  # vertex 2 uncovered
+    with pytest.raises(ComplexError, match="antichain"):
+        SimplicialComplex(2, frozenset({0b01, 0b11}))
+    with pytest.raises(ComplexError, match="cover exactly"):
+        SimplicialComplex(2, frozenset({0b1001}))  # out of range
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.sets(
@@ -51,7 +54,7 @@ def test_antichain_check_matches_pairwise_sets(case):
                if not any(v in f for f in facets)}  # cover every vertex
     nested = any(set(a) < set(b) for a in facets for b in facets)
     try:
-        SimplicialComplex(n, frozenset(facets))
+        SimplicialComplex(n, frozenset(sum(1 << v for v in f) for f in facets))
     except ComplexError as err:
         assert nested and str(err) == "facets must form an antichain"
     else:
@@ -89,6 +92,18 @@ def test_from_generators_errors():
     with pytest.raises(ComplexError):
         from_generators(3, [(0, 1)])  # vertex 2 uncovered
     assert from_generators(2, [(), (0, 1)]).facets == {(0, 1)}
+
+
+@given(complexes())
+@settings(max_examples=100, deadline=None)
+def test_facets_are_the_tuple_view_of_masks(c):
+    n = c.vertex_count
+    sets = [{v for v in range(n) if m >> v & 1} for m in c.masks]
+    assert c.facets == {tuple(sorted(s)) for s in sets}
+    assert from_generators(n, c.facets) == c
+    for k in range(n + 3):
+        for simplex in itertools.combinations(range(-1, n + 1), k):
+            assert c.has_face(simplex) == any(set(simplex) <= s for s in sets), simplex
 
 
 def test_faces_of_full_triangle():
@@ -178,7 +193,7 @@ def test_configuration_space_of_cube():
 
 def test_simplicial_map_validation():
     collapse = validate_simplicial_map((0, 0, 1), HOLLOW_TRIANGLE,
-                                       SimplicialComplex(2, frozenset({(0, 1)})))
+                                       SimplicialComplex(2, frozenset({0b11})))
     assert collapse.image_simplex((0, 1)) == (0,)
     with pytest.raises(SimplicialMapError) as err:
         validate_simplicial_map((0, 1, 2), FULL_TRIANGLE, HOLLOW_TRIANGLE)

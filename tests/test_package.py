@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import graphburning
 
@@ -38,3 +41,19 @@ def test_every_cache_is_bounded():
                       if hasattr(obj, "cache_parameters"))
     assert len(caches) >= 6  # _search, _reduction, faces, distances, ...
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def test_package_imports_only_the_standard_library():
+    """The package declares `dependencies = []`; relative imports stay inside it."""
+    outside = []
+    for path in sorted(Path(graphburning.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
