@@ -6,16 +6,16 @@ region before step j ignites is U_j; a sequence is admissible when each source
 is unburned at its step and the final spread covers the whole graph.  The time
 function lam(v) is the first step at which v burns.
 
-Source sets and the burning number come from one depth-first search memoised
-on the shift-normalised residual state, which visits each state once however
-many orderings reach it.  Ordered burnings, from an optional source prefix,
-are listed lazily only where the orderings themselves are wanted, by a walk
-over the same states: each is expanded once into its admissible children and
-the vertices that burn at its step, from which a burning's times are read.
-A whole listing is counted on those states first and refused before it
-starts when it is too long.  Every exponential search stops with
-`SizeGuardExceeded` past a constant budget of work (residual states, listed
-burnings, subgraph candidates), not of size.
+Source sets, the burning number and the number of burnings come from one
+depth-first search memoised on the shift-normalised residual state, which
+visits each state once however many orderings reach it.  Ordered burnings,
+from an optional source prefix, are listed lazily only where the orderings
+themselves are wanted, by a walk over the same states: each is expanded once
+into its admissible children and the vertices that burn at its step, from
+which a burning's times are read.  A whole listing reads its length off the
+search first and is refused before it starts when it is too long.  Every
+exponential search stops with `SizeGuardExceeded` past a constant budget of
+work (residual states, listed burnings, subgraph candidates), not of size.
 
 A connected subgraph holding the sources burns compatibly with a burning b
 iff each of its non-source vertices has an edge in it to a vertex burning a
@@ -171,8 +171,6 @@ _LISTED_BURNINGS = 100_000
 _SEARCH_STATES = 100_000
 
 State = tuple[float, ...]
-# A state's admissible children as (source, state) pairs, and its u = 1 vertices.
-Expansion = tuple[tuple[tuple[int, State], ...], tuple[int, ...]]
 
 
 def _too_many_states(g: Graph) -> SizeGuardExceeded:
@@ -195,70 +193,43 @@ def _shift_ignite(u: State, row: tuple[float, ...]) -> State:
     return tuple([(y - 1 if y <= d else d) if y else 0 for y, d in zip(u, row)])
 
 
-class _StateGraph:
-    """The residual states of g met so far, each expanded once.
+def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
+    """Every burning of g that begins with the given sources, lexicographic.
 
-    A state maps to its admissible children, as (source, state) pairs in
-    vertex order, and to its vertices with u = 1.  Igniting a source burns it
-    and those vertices at the state's step; a state with no child closes a
-    burning, whose end time is its step if some u = 1 and the step before
-    otherwise.  Past `_SEARCH_STATES` states it raises `SizeGuardExceeded`.
-    """
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.root: State = (INF,) * g.vertex_count
-        self.dist = distances(g)
-        self.memo: dict[State, Expansion] = {}
-
-    def expand(self, u: State) -> Expansion:
-        found = self.memo.get(u)
-        if found is None:
-            if len(self.memo) >= _SEARCH_STATES:
-                raise _too_many_states(self.graph)
-            dist = self.dist
-            found = self.memo[u] = (
-                tuple([(v, _shift_ignite(u, dist[v])) for v, x in enumerate(u) if x > 1]),
-                tuple([v for v, x in enumerate(u) if x == 1]))
-        return found
-
-    def completions(self) -> int:
-        """The number of burnings: a state's completions number 1 at a leaf,
-        else the sum over its children."""
-        counts: dict[State, int] = {}
-
-        def count(u: State) -> int:
-            found = counts.get(u)
-            if found is None:
-                children = self.expand(u)[0]
-                found = counts[u] = sum(count(c) for _, c in children) if children else 1
-            return found
-
-        return count(self.root)
-
-
-def _burnings(states: _StateGraph, start: Sequence[int] = ()) -> Iterator[Burning]:
-    """Every burning that begins with the given sources, lexicographic.
-
-    Depth-first over the residual states of the graph, lazily.  A vertex
-    burns at the step of the state where it has u = 1 or is ignited, so each
-    burning's times are written along its path from the root and read at its
-    leaf.  No burning sequence is a proper prefix of another, since a leaf
-    has no admissible source.  An inadmissible start yields nothing.  Past
+    Depth-first over the residual states of g, lazily.  Each state is expanded
+    once into its admissible children, as (source, state) pairs in vertex
+    order, and its vertices with u = 1; below the start only the child of the
+    next start source is followed, so an inadmissible start yields nothing.
+    A vertex burns at the step of the state where it has u = 1 or is ignited,
+    so each burning's times are written along its path from the root and read
+    at its leaf, whose end time is its step if some u = 1 and the step before
+    otherwise.  No burning sequence is a proper prefix of another, since a
+    leaf has no admissible source.  Past `_SEARCH_STATES` states or
     `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
-    g, expand = states.graph, states.expand
+    dist = distances(g)
+    memo: dict[State, tuple[tuple[tuple[int, State], ...], tuple[int, ...]]] = {}
     times = [0] * g.vertex_count
     prefix: list[int] = []
     listed = 0
 
     def walk(u: State) -> Iterator[Burning]:
         nonlocal listed
-        step = len(prefix) + 1
-        children, ones = expand(u)
+        depth = len(prefix)
+        step = depth + 1
+        found = memo.get(u)
+        if found is None:
+            if len(memo) >= _SEARCH_STATES:
+                raise _too_many_states(g)
+            found = memo[u] = (
+                tuple([(v, _shift_ignite(u, dist[v])) for v, x in enumerate(u) if x > 1]),
+                tuple([v for v, x in enumerate(u) if x == 1]))
+        children, ones = found
         for w in ones:
             times[w] = step
-        if not children:
+        if depth < len(start):
+            children = [c for c in children if c[0] == start[depth]]
+        elif not children:
             listed += 1
             if listed > _LISTED_BURNINGS:
                 raise SizeGuardExceeded(
@@ -272,81 +243,76 @@ def _burnings(states: _StateGraph, start: Sequence[int] = ()) -> Iterator[Burnin
             yield from walk(child)
             prefix.pop()
 
-    u = states.root
-    for step, v in enumerate(start, start=1):
-        children, ones = expand(u)
-        child = dict(children).get(v)
-        if child is None:
-            return iter(())
-        for w in ones:
-            times[w] = step
-        times[v] = step
-        prefix.append(v)
-        u = child
-    return walk(u)
+    return walk((INF,) * g.vertex_count)
 
 
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
     """Every burning of g, lexicographic in the source sequences.
 
-    The burnings are counted on the residual states first, so a listing past
-    `_LISTED_BURNINGS` is refused before any burning is built.
+    The search counts the burnings first, so a listing past `_LISTED_BURNINGS`
+    is refused before any burning is built.
     """
-    states = _StateGraph(g)
-    total = states.completions()
+    total = _search(g)[2]
     if total > _LISTED_BURNINGS:
         raise SizeGuardExceeded(
             f"a graph with {g.vertex_count} vertices has {total:,} burnings, "
             f"past the listing budget of {_LISTED_BURNINGS:,} burnings")
-    return tuple(_burnings(states))
+    return tuple(_burnings(g))
 
 
-# One result per graph, bounded: the survey asks each graph for its burning
-# number and then its configuration space.  A search that raises leaves no
-# entry.
+# One result per graph, bounded: the survey asks each graph for its burnings,
+# its burning number and then its configuration space.  A search that raises
+# leaves no entry.
 @lru_cache(maxsize=8)
-def _search(g: Graph) -> tuple[frozenset[int], int]:
-    """Source-set bitmasks of all burnings of g, and their least end time.
+def _search(g: Graph) -> tuple[frozenset[int], int, int]:
+    """Source-set bitmasks of all burnings of g, their least end time, and
+    the number of burnings.
 
     Depth-first over the residual states (`_shift_ignite`): a state with no
     admissible vertex closes a burning, with end offset 0 if some u[v] = 1
     and -1 otherwise.  The states do not depend on how many sources led to
     them, so each is searched once and maps to the source sets of its
-    completions and their least end offset.  Past `_SEARCH_STATES` states it
+    completions, their least end offset and their number: 1 at a leaf, else
+    the sum over its children.  Past `_SEARCH_STATES` states entered it
     raises `SizeGuardExceeded`.
     """
     dist = distances(g)
-    memo: dict[State, tuple[set[int], int]] = {}
+    memo: dict[State, tuple[set[int], int, int]] = {}
+    entered = 0
 
-    def visit(u: State) -> tuple[set[int], int]:
+    def visit(u: State) -> tuple[set[int], int, int]:
+        nonlocal entered
         found = memo.get(u)
         if found is not None:
             return found
-        if len(memo) >= _SEARCH_STATES:
+        entered += 1
+        if entered > _SEARCH_STATES:
             raise _too_many_states(g)
         sets: set[int] = set()
         least: float = INF
+        count = 0
         for v, x in enumerate(u):
             if x > 1:
-                child_sets, child_least = visit(_shift_ignite(u, dist[v]))
+                child_sets, child_least, child_count = visit(_shift_ignite(u, dist[v]))
                 bit = 1 << v
                 sets |= {m | bit for m in child_sets}
                 if child_least < least:
                     least = child_least
+                count += child_count
         if sets:
-            found = (sets, least + 1)
+            found = (sets, least + 1, count)
         else:
-            found = ({0}, 0 if 1 in u else -1)
+            found = ({0}, 0 if 1 in u else -1, 1)
         memo[u] = found
         return found
 
-    masks, least = visit((INF,) * g.vertex_count)
-    return frozenset(masks), least + 1
+    masks, least, count = visit((INF,) * g.vertex_count)
+    return frozenset(masks), least + 1, count
 
 
 def source_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The distinct source sets of all burnings as sorted tuples, in order."""
-    masks, _ = _search(g)
+    masks = _search(g)[0]
     return tuple(sorted(tuple(v for v in g.vertices if m >> v & 1) for m in masks))
 
 
@@ -530,7 +496,7 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
     embedded = [embed(v) for v in b_h.sources]
-    for b_g in _burnings(_StateGraph(g), embedded):
+    for b_g in _burnings(g, embedded):
         try:
             validate_morphism(embed, b_h, b_g)
         except MorphismError:

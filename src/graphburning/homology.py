@@ -188,7 +188,7 @@ def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
     restricted boundaries of the surviving cells, unchanged otherwise, have
     the same integer homology, torsion included.  A drain leaves no live edge
     with one live end, so no live vertex is left in a component whose H_0 it
-    emptied: one generator per component, one fewer when augmented.
+    emptied: one generator per component.
     """
     top = len(cc.dims) - 1
     alive = [bytearray(b"\1") * n for n in cc.dims]
@@ -219,7 +219,7 @@ def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
                 face = next(i for i in cc.boundary(q)[j] if alive[q - 1][i])
                 remove(q, j)
                 remove(q - 1, face)
-    return generators - cc.augmented, alive
+    return generators, alive
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:

@@ -33,7 +33,7 @@ from graphburning import (
     validate_morphism,
 )
 from graphburning import burning
-from graphburning.burning import _burnings, _closed_form_witness, _search, _StateGraph
+from graphburning.burning import _burnings, _closed_form_witness, _search
 from graphburning.graphs import (
     Graph,
     Subgraph,
@@ -154,7 +154,7 @@ def test_listing_matches_prefix_dfs(g):
     assert _listed(enumerate_burnings(g)) == _listed(prefix_burnings(g))
     for v in g.vertices:
         for start in [(v,)] + [(v, w) for w in g.vertices]:
-            listed = _burnings(_StateGraph(g), start)
+            listed = _burnings(g, start)
             assert _listed(listed) == _listed(prefix_burnings(g, start)), start
 
 
@@ -168,10 +168,10 @@ def test_listing_matches_prefix_dfs_on_families():
 def test_completion_counts():
     """A state's count is the sum over its children; k x P2 has k! 2^k burnings."""
     for g in [path_graph(n) for n in range(1, 13)] + [cycle_graph(12)]:
-        assert _StateGraph(g).completions() == len(enumerate_burnings(g))
+        assert _search(g)[2] == len(list(prefix_burnings(g)))
     for k in range(1, 9):
         g = iterated_sum(k, path_graph(2))
-        assert _StateGraph(g).completions() == math.factorial(k) * 2 ** k
+        assert _search(g)[2] == math.factorial(k) * 2 ** k
 
 
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
@@ -181,7 +181,8 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(burning, "_burnings", must_not_list)
     with pytest.raises(SizeGuardExceeded, match="has 645,120 burnings"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
-    # The count shares the search's state budget: 7xP2 has 897 states.
+    # The count comes from the search and its state budget: 7xP2 has 897 states.
+    _search.cache_clear()
     monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
     with pytest.raises(SizeGuardExceeded, match="896 residual states"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
@@ -222,8 +223,8 @@ def test_sums_of_edges():
 
 
 def test_enumeration_cache_is_bounded_and_reused():
-    # The survey asks each graph for its burning number and then its
-    # configuration space: one search, then one cache hit.
+    # Asked for its burning number and then its configuration space, a graph
+    # is searched once and then found in the cache.
     _search.cache_clear()
     for n in range(1, 13):
         g = path_graph(n)
@@ -234,6 +235,14 @@ def test_enumeration_cache_is_bounded_and_reused():
         info = _search.cache_info()
         assert (info.misses, info.hits) == (n, n)
     assert _search.cache_info().currsize < 12
+    # The survey lists the burnings first: the listing's count is the miss.
+    _search.cache_clear()
+    g = cycle_graph(9)
+    enumerate_burnings(g)
+    burning_number(g)
+    configuration_space(g)
+    info = _search.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_search_state_budget(monkeypatch):
@@ -246,6 +255,13 @@ def test_search_state_budget(monkeypatch):
         configuration_space(g)
     # The failed search left no cache entry, so it runs again once allowed.
     assert _search.cache_info().currsize == 0
+    # The budget counts the states entered: 7xP2 has 897, so 896 is too few.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
+    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
+        burning_number(iterated_sum(7, path_graph(2)))
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 897)
+    assert burning_number(iterated_sum(7, path_graph(2))) == 8
+    _search.cache_clear()
     monkeypatch.undo()
     assert burning_number(g) == 3
     assert _search.cache_info().currsize == 1

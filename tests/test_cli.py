@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,3 +220,18 @@ def test_text_format_graph_round_trip(capsys):
     from graphburning.graphs import format_graph_text
     g = load_graph("cycle:5")
     assert parse_graph_text(format_graph_text(g)) == g
+
+
+def test_survey_script_runs():
+    """`scripts/survey_burnings.py` prints one line per graph of its families."""
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "survey_burnings.py"), "--max-n", "5"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # Paths 1..5, cycles 3..5, complete graphs 1..5 and the cube.
+    assert len(lines) == 14 and lines[-1].startswith("cube")
+    path5 = next(line for line in lines if line.startswith("path(5)"))
+    assert re.search(r"burnings=\s*12 b=3 ", path5), path5
