@@ -505,21 +505,6 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
     return None
 
 
-def is_burning_extension(embed: GraphMap) -> bool:
-    """Whether every source set of the domain extends to one of the codomain.
-
-    The faces of a configuration space are exactly the subsets of source sets,
-    so this holds iff the image of every facet of conf(H) is a face of conf(G).
-    A search past its state budget raises `SizeGuardExceeded`.
-    """
-    from .complexes import configuration_space
-    if not embed.is_injective():
-        raise BurningError("embedding must be injective")
-    target = configuration_space(embed.codomain)
-    return all(target.has_face([embed(v) for v in f])
-               for f in configuration_space(embed.domain).facets)
-
-
 # ---------------------------------------------------------------------------
 # Extremal path burnings
 

@@ -3,21 +3,22 @@
 A complex is a vertex count plus the antichain of inclusion-maximal simplexes
 as vertex bitmasks (bit v set iff v is in the facet), a format no other module
 reads; `facets` views them as ascending tuples, and lower faces are derived on
-demand.  The burning configuration space of a graph is the complex generated
-by the source sets of all its burnings, which the memoised burning search
-yields as masks without building any ordered burning.
+demand.  One routine (`_maximal`) keeps the maximal masks wherever an
+antichain is built or checked.  The burning configuration space of a graph is
+the complex generated by the source sets of all its burnings, read straight
+off the masks of the memoised burning search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, groupby
+from itertools import combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .burning import source_sets
-from .graphs import Graph
+from .burning import BurningError, _search
+from .graphs import Graph, GraphMap
 
 Simplex = tuple[int, ...]
 
@@ -32,6 +33,7 @@ class SimplicialComplex:
     masks: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", frozenset(self.masks))
         if self.vertex_count < 1:
             raise ComplexError("complex needs at least one vertex")
         if 0 in self.masks:
@@ -39,14 +41,8 @@ class SimplicialComplex:
         # Out-of-range bits and uncovered vertices both break this equality.
         if reduce(or_, self.masks, 0) != (1 << self.vertex_count) - 1:
             raise ComplexError(f"facets must cover exactly 0..{self.vertex_count - 1}")
-        # Distinct facets, so one can only lie inside a strictly larger one.
-        larger: list[int] = []
-        for _, group in groupby(sorted(self.masks, key=int.bit_count, reverse=True),
-                                key=int.bit_count):
-            same_size = list(group)
-            if any(a & b == a for a in same_size for b in larger):
-                raise ComplexError("facets must form an antichain")
-            larger += same_size
+        if len(_maximal(self.masks)) != len(self.masks):
+            raise ComplexError("facets must form an antichain")
 
     @cached_property
     def facets(self) -> frozenset[Simplex]:
@@ -74,12 +70,27 @@ def _vertices(mask: int) -> Simplex:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """The complex generated by arbitrary simplexes; non-maximal ones are absorbed.
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks among distinct ones, largest first.  Masks
+    of one size cannot contain each other, so each meets only larger kept ones."""
+    larger: list[int] = []
+    same: list[int] = []
+    size = -1
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if mask.bit_count() != size:
+            size = mask.bit_count()
+            larger += same
+            same = []
+        for k in larger:
+            if mask & k == mask:
+                break
+        else:
+            same.append(mask)
+    return larger + same
 
-    Each generator becomes a vertex bitmask.  Taken largest first, a mask is
-    kept unless a kept one contains it, so the kept masks are the facets.
-    """
+
+def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """The complex generated by arbitrary simplexes; non-maximal ones are absorbed."""
     masks: set[int] = set()
     for s in simplexes:
         mask = 0
@@ -88,19 +99,23 @@ def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> Si
                 raise ComplexError(f"generator vertex {v} out of range")
             mask |= 1 << v
         masks.add(mask)
-    kept: list[int] = []
-    for mask in sorted(masks, key=int.bit_count, reverse=True):
-        for k in kept:
-            if mask & k == mask:
-                break
-        else:
-            kept.append(mask)
-    return SimplicialComplex(vertex_count, frozenset(kept))
+    return SimplicialComplex(vertex_count, frozenset(_maximal(masks)))
 
 
 def configuration_space(g: Graph) -> SimplicialComplex:
-    """The complex on the graph's vertices generated by all burning source sets."""
-    return from_generators(g.vertex_count, source_sets(g))
+    """The complex generated by all burning source sets, read off the search's masks."""
+    return SimplicialComplex(g.vertex_count, frozenset(_maximal(_search(g)[0])))
+
+
+def is_burning_extension(embed: GraphMap) -> bool:
+    """Whether every source set of the domain extends to one of the codomain,
+    i.e. each facet of conf(H) maps onto a face of conf(G) (faces are exactly the
+    subsets of source sets).  A search past its budget raises `SizeGuardExceeded`."""
+    if not embed.is_injective():
+        raise BurningError("embedding must be injective")
+    target = configuration_space(embed.codomain)
+    return all(target.has_face([embed(v) for v in f])
+               for f in configuration_space(embed.domain).facets)
 
 
 # Bounded to hold every degree of the last few complexes.
@@ -157,8 +172,6 @@ def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
     """The complex left once no vertex is dominated, relabelled 0..m-1.
 
     v is dominated when every facet holding v also holds some fixed v' != v.
-    Deleting v shrinks only the facets that held v; none of them can fall
-    inside another that held v, so each is tested against the untouched ones.
     The vertex dominating v stays, so no component is lost.
     """
     masks = list(c.masks)
@@ -174,10 +187,7 @@ def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
             if common == bit:
                 survivors.append(v)
                 continue
-            untouched = [m for m in masks if not m & bit]
-            masks = untouched + [
-                s for s in (m ^ bit for m in masks if m & bit)
-                if not any(s & m == s for m in untouched)]
+            masks = _maximal(m & ~bit for m in masks)
         if len(survivors) == len(vertices):
             break
         vertices = survivors

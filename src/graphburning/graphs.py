@@ -36,6 +36,7 @@ class Graph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", frozenset(self.edges))
         if self.vertex_count < 1:
             raise GraphError("graph needs at least one vertex")
         for v, w in self.edges:

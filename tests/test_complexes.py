@@ -8,25 +8,33 @@ from graphburning import (
     ComplexError,
     SimplicialComplex,
     SimplicialMapError,
+    burning_number,
     complement,
     complete_graph,
     compose_simplicial_maps,
     cone,
     configuration_space,
     cube_graph,
+    cycle_graph,
     disjoint_union,
     faces,
     from_generators,
     graph_as_complex,
+    homology,
     identity_simplicial_map,
+    iterated_sum,
     one_skeleton_graph,
     path_graph,
     skeleton,
+    source_sets,
     suspension,
     validate_simplicial_map,
 )
+from graphburning.complexes import _strong_core
+from graphburning.graphs import Graph
 
 from conftest import complexes, graphs
+from strong_core import absorb_literally, strong_core_literally
 
 # Bit v of a facet mask is set iff vertex v is in the facet.
 FULL_TRIANGLE = SimplicialComplex(3, frozenset({0b111}))
@@ -67,12 +75,6 @@ def test_from_generators_absorbs_faces():
     assert c.dimension == 2
 
 
-def absorb_literally(simplexes):
-    """The maximal sets among the generators, by pairwise comparison."""
-    sets = {tuple(sorted(set(s))) for s in simplexes}
-    return {s for s in sets if not any(s != t and set(s) <= set(t) for t in sets)}
-
-
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=5), max_size=12))))
 @settings(max_examples=200, deadline=None)
@@ -92,6 +94,46 @@ def test_from_generators_errors():
     with pytest.raises(ComplexError):
         from_generators(3, [(0, 1)])  # vertex 2 uncovered
     assert from_generators(2, [(), (0, 1)]).facets == {(0, 1)}
+
+
+def test_plain_containers_are_stored_as_frozensets():
+    # A set or list of edges or masks hashes and compares like the frozenset.
+    edges = [(0, 1), (1, 2)]
+    frozen = Graph(3, frozenset(edges))
+    for given_edges in (set(edges), list(edges)):
+        g = Graph(3, given_edges)
+        assert g == frozen and hash(g) == hash(frozen) and g.edges == frozenset(edges)
+        assert burning_number(g) == burning_number(frozen) == 2
+        assert configuration_space(g) == configuration_space(frozen)
+    masks = [0b011, 0b110]
+    frozen_c = SimplicialComplex(3, frozenset(masks))
+    for given_masks in (set(masks), list(masks)):
+        c = SimplicialComplex(3, given_masks)
+        assert c == frozen_c and hash(c) == hash(frozen_c) and c.masks == frozenset(masks)
+        assert homology(c) == homology(frozen_c)
+        assert homology(c, coeff="p:2", reduced=True) == homology(frozen_c, coeff="p:2",
+                                                                   reduced=True)
+
+
+def test_configuration_space_matches_generators_on_families():
+    for g in ([path_graph(n) for n in range(1, 15)] + [cycle_graph(n) for n in range(3, 13)]
+              + [iterated_sum(k, path_graph(2)) for k in range(1, 6)]):
+        assert configuration_space(g) == from_generators(g.vertex_count, source_sets(g))
+
+
+@given(graphs(max_vertices=7))
+@settings(max_examples=150, deadline=None)
+def test_configuration_space_matches_generators(g):
+    # Disconnected graphs included: the strategy draws any edge set.
+    assert configuration_space(g) == from_generators(g.vertex_count, source_sets(g))
+
+
+@given(st.one_of(complexes(), graphs(max_vertices=7).map(configuration_space)))
+@settings(max_examples=300, deadline=None)
+def test_strong_core_matches_literal_oracle(c):
+    core = _strong_core(c)
+    assert (core.vertex_count, core.facets) == strong_core_literally(
+        c.vertex_count, c.facets)
 
 
 @given(complexes())
