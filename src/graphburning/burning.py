@@ -7,13 +7,13 @@ is unburned at its step and the final spread covers the whole graph.  The time
 function lam(v) is the first step at which v burns.
 
 Source sets, the burning number and the number of burnings come from one
-depth-first search memoised on the shift-normalised residual state, which
-visits each state once however many orderings reach it.  Ordered burnings,
-from an optional source prefix, are listed lazily only where the orderings
-themselves are wanted, by a walk over the same states: each is expanded once
-into its admissible children and the vertices that burn at its step, from
-which a burning's times are read.  A whole listing reads its length off the
-search first and is refused before it starts when it is too long.  Every
+depth-first search memoised on the burned set: before step j the residual
+state is the bitmask S of the region N_{j-1} burned by step j - 1, since the
+sources so far burn any other w at step j - 1 + d(w, S).  So U_j = N[S], and
+igniting an admissible v (one off N[S]) moves to the state N[S] | {v}.  Ordered burnings,
+from an optional source prefix, are listed lazily only where the orderings are
+wanted, by a walk over the same states.  A whole listing reads its length off
+the search first and is refused before it starts when it is too long.  Every
 exponential search stops with `SizeGuardExceeded` past a constant budget of
 work (residual states, listed burnings, subgraph candidates), not of size.
 
@@ -38,6 +38,7 @@ from .graphs import (
     Graph,
     GraphMap,
     Subgraph,
+    _adjacency,
     classify,
     distances,
     path_graph,
@@ -167,10 +168,8 @@ def burning_map(b: Burning) -> GraphMap:
 _LISTED_BURNINGS = 100_000
 
 # The searches give up past this many residual states rather than run for
-# minutes: P20 passes 13,177, P24 61,321 (about 3 s) and P30 far more.
+# minutes: P20 enters 13,180, P24 61,324 (about 2 s) and P30 far more.
 _SEARCH_STATES = 100_000
-
-State = tuple[float, ...]
 
 
 def _too_many_states(g: Graph) -> SizeGuardExceeded:
@@ -179,57 +178,59 @@ def _too_many_states(g: Graph) -> SizeGuardExceeded:
         f"on a graph with {g.vertex_count} vertices")
 
 
-def _shift_ignite(u: State, row: tuple[float, ...]) -> State:
-    """The residual state after igniting the vertex with the given distance row.
-
-    The state before step j is u[v] = max(best[v] - j + 1, 0), where best holds
-    the burn times under the sources so far: u[v] = 0 means v burned before
-    step j, 1 that v burns at step j, and > 1 that v is admissible.  In times
-    relative to the current step (u - 1), igniting v is `_ignite` at step 0
-    followed by a shift of -1.  In u that is one comprehension:
-    u'[w] = min(u[w], d(v, w) + 1) - 1 for unburned w, and 0 for burned w.
-    """
-    # min(y, d + 1) - 1 without the call to min.
-    return tuple([(y - 1 if y <= d else d) if y else 0 for y, d in zip(u, row)])
+def _closed_neighbourhoods(g: Graph) -> tuple[int, ...]:
+    """Entry v is the bitmask of the closed neighbourhood N[v]."""
+    return tuple([sum([1 << w for w in a], 1 << v) for v, a in enumerate(_adjacency(g))])
 
 
 def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
     """Every burning of g that begins with the given sources, lexicographic.
 
-    Depth-first over the residual states of g, lazily.  Each state is expanded
-    once into its admissible children, as (source, state) pairs in vertex
-    order, and its vertices with u = 1; below the start only the child of the
-    next start source is followed, so an inadmissible start yields nothing.
-    A vertex burns at the step of the state where it has u = 1 or is ignited,
-    so each burning's times are written along its path from the root and read
-    at its leaf, whose end time is its step if some u = 1 and the step before
-    otherwise.  No burning sequence is a proper prefix of another, since a
-    leaf has no admissible source.  Past `_SEARCH_STATES` states or
-    `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
+    Depth-first, lazily, over the burned-set states S of `_search` (the
+    sources so far burn w off S at step j - 1 + d(w, S)).  Each is expanded
+    once into its admissible v in vertex order (off N[S]; the child is
+    N[S] | {v}), its vertices N[S] - S burning at its step, and N[N[S]];
+    below the start only the next start source is followed, so an
+    inadmissible start yields nothing.  A burning's times are written along
+    its path and read at its leaf, whose end time is its step if N[S] != S
+    and the step before otherwise.  No burning sequence is a proper prefix
+    of another, since a leaf has no admissible source.  Past `_SEARCH_STATES`
+    states or `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
-    dist = distances(g)
-    memo: dict[State, tuple[tuple[tuple[int, State], ...], tuple[int, ...]]] = {}
+    nbhd = _closed_neighbourhoods(g)
+    whole = (1 << g.vertex_count) - 1
+    memo: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     times = [0] * g.vertex_count
     prefix: list[int] = []
     listed = 0
 
-    def walk(u: State) -> Iterator[Burning]:
+    def walk(s: int, ns: int) -> Iterator[Burning]:
         nonlocal listed
         depth = len(prefix)
         step = depth + 1
-        found = memo.get(u)
+        found = memo.get(s)
         if found is None:
             if len(memo) >= _SEARCH_STATES:
                 raise _too_many_states(g)
-            found = memo[u] = (
-                tuple([(v, _shift_ignite(u, dist[v])) for v, x in enumerate(u) if x > 1]),
-                tuple([v for v, x in enumerate(u) if x == 1]))
-        children, ones = found
+            admissible, ones = [], []
+            nns = ns
+            rest = whole & ~s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                if ns & bit:
+                    ones.append(v)
+                    nns |= nbhd[v]
+                else:
+                    admissible.append(v)
+            found = memo[s] = (tuple(admissible), tuple(ones), nns)
+        admissible, ones, nns = found
         for w in ones:
             times[w] = step
         if depth < len(start):
-            children = [c for c in children if c[0] == start[depth]]
-        elif not children:
+            admissible = [v for v in admissible if v == start[depth]]
+        elif not admissible:
             listed += 1
             if listed > _LISTED_BURNINGS:
                 raise SizeGuardExceeded(
@@ -237,13 +238,13 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
                     f"on a graph with {g.vertex_count} vertices")
             yield Burning(g, tuple(prefix), tuple(times), step if ones else step - 1)
             return
-        for v, child in children:
+        for v in admissible:
             times[v] = step
             prefix.append(v)
-            yield from walk(child)
+            yield from walk(ns | 1 << v, nns | nbhd[v])
             prefix.pop()
 
-    return walk((INF,) * g.vertex_count)
+    return walk(0, 0)
 
 
 def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
@@ -268,45 +269,53 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
     """Source-set bitmasks of all burnings of g, their least end time, and
     the number of burnings.
 
-    Depth-first over the residual states (`_shift_ignite`): a state with no
-    admissible vertex closes a burning, with end offset 0 if some u[v] = 1
-    and -1 otherwise.  The states do not depend on how many sources led to
-    them, so each is searched once and maps to the source sets of its
-    completions, their least end offset and their number: 1 at a leaf, else
-    the sum over its children.  Past `_SEARCH_STATES` states entered it
-    raises `SizeGuardExceeded`.
+    Depth-first over the residual states: before step j, the bitmask S of
+    the region burned by step j - 1, as the sources so far burn w off S at
+    step j - 1 + d(w, S).  With N[S] the union of the closed neighbourhoods
+    of S, v is admissible iff it is off N[S], its child is N[S] | {v}, and a
+    state with N[S] whole closes a burning, with end offset 0 if N[S] != S
+    and -1 otherwise.  Each state is searched once and maps to the source
+    sets of its completions, their least end offset and their number: 1 at
+    a leaf, else the sum over its children.  Past `_SEARCH_STATES` states
+    entered it raises `SizeGuardExceeded`.
     """
-    dist = distances(g)
-    memo: dict[State, tuple[set[int], int, int]] = {}
+    nbhd = _closed_neighbourhoods(g)
+    whole = (1 << g.vertex_count) - 1
+    memo: dict[int, tuple[set[int], int, int]] = {}
     entered = 0
 
-    def visit(u: State) -> tuple[set[int], int, int]:
+    def visit(s: int, ns: int) -> tuple[set[int], int, int]:
         nonlocal entered
-        found = memo.get(u)
+        found = memo.get(s)
         if found is not None:
             return found
         entered += 1
         if entered > _SEARCH_STATES:
             raise _too_many_states(g)
+        # N[N[S]] adds to N[S] the neighbourhoods of N[S] - S alone.
+        nns = ns
+        rest = ns & ~s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nns |= nbhd[bit.bit_length() - 1]
         sets: set[int] = set()
         least: float = INF
         count = 0
-        for v, x in enumerate(u):
-            if x > 1:
-                child_sets, child_least, child_count = visit(_shift_ignite(u, dist[v]))
-                bit = 1 << v
-                sets |= {m | bit for m in child_sets}
-                if child_least < least:
-                    least = child_least
-                count += child_count
-        if sets:
-            found = (sets, least + 1, count)
-        else:
-            found = ({0}, 0 if 1 in u else -1, 1)
-        memo[u] = found
+        free = whole & ~ns
+        while free:
+            bit = free & -free
+            free ^= bit
+            child_sets, child_least, child_count = visit(
+                ns | bit, nns | nbhd[bit.bit_length() - 1])
+            sets |= {m | bit for m in child_sets}
+            if child_least < least:
+                least = child_least
+            count += child_count
+        found = memo[s] = (sets, least + 1, count) if sets else ({0}, 0 if ns != s else -1, 1)
         return found
 
-    masks, least, count = visit((INF,) * g.vertex_count)
+    masks, least, count = visit(0, 0)
     return frozenset(masks), least + 1, count
 
 
@@ -521,10 +530,8 @@ class ExtremalPathReport:
 def _closed_form_witness(kind: str, p: int) -> tuple[int, ...]:
     """The 1-based source positions suggested by the closed-form analysis."""
     if kind == "max-n-for-T":
-        out = [p]
-        for j in range(2, p + 1):
-            out.append(sum(2 * i + 1 for i in range(p - j + 1, p)) + p - j + 1)
-        return tuple(out)
+        # Source j sits at p^2 - r^2 + r with radius r = p + 1 - j.
+        return tuple(p * p - r * r + r for r in range(p, 0, -1))
     if kind == "max-n-for-T-hom":
         # p - 1 sources (one for p = 1): s_j = s_{j-1} + 2(p - j) + 1.
         out = [p]
@@ -557,15 +564,8 @@ _EXTREMAL_N = {
 
 
 def _witness_ok(kind: str, p: int, b: Burning) -> bool:
-    if kind in ("max-n-for-T", "max-n-for-T-hom"):
-        if b.end_time != p:
-            return False
-    else:
-        if len(b.sources) != p:
-            return False
-    if kind.endswith("-hom"):
-        return burning_map(b).is_homomorphism
-    return True
+    size = b.end_time if kind.startswith("max-n-for-T") else len(b.sources)
+    return size == p and (not kind.endswith("-hom") or burning_map(b).is_homomorphism)
 
 
 def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:

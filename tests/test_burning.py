@@ -33,12 +33,14 @@ from graphburning import (
     validate_morphism,
 )
 from graphburning import burning
-from graphburning.burning import _burnings, _closed_form_witness, _search
+from graphburning.burning import _burnings, _closed_form_witness, _ignite, _search
 from graphburning.graphs import (
+    INF,
     Graph,
     Subgraph,
     complete_graph,
     cycle_graph,
+    distances,
     iterated_sum,
     path_graph,
     validate_graph_map,
@@ -94,6 +96,37 @@ def test_times_match_filtration(g):
         for v in g.vertices:
             first = next(s.step for s in states if v in s.burned_now)
             assert b.time(v) == first
+
+
+@given(graphs(max_vertices=7))
+@settings(max_examples=40, deadline=None)
+def test_residual_state_is_distance_to_burned_set(g):
+    """Before step j, u_j = max(best - j + 1, 0) is d(w, S) off S and 0 on S,
+    where S = N_{j-1} is the region burned by step j - 1, and the region U_j
+    burned at step j before v_j ignites is N[S] = {u_j <= 1}.  So S alone
+    keys the searches' residual states, and v_j is admissible iff it is off
+    N[S].
+
+    best is folded through `_ignite`; S and U_j are the filtration's literal
+    induced unions.  Every prefix of every burning is checked, the full one
+    included, on an evenly spaced sample of at most 150 burnings.
+    """
+    dist = distances(g)
+    listed = list(prefix_burnings(g))
+    for b in listed[::math.ceil(len(listed) / 150)]:
+        states = filtration(g, b.sources)
+        best = [INF] * g.vertex_count
+        for j in range(1, len(b.sources) + 2):
+            if j > 1:
+                best = _ignite(dist, best, j - 1, b.sources[j - 2])
+            burned = set(states[j - 2].burned_now) if j > 1 else set()
+            u = [max(t - j + 1, 0) for t in best]
+            assert u == [
+                0 if w in burned else min((dist[w][x] for x in burned), default=INF)
+                for w in g.vertices], (b.sources, j)
+            if j > 1:
+                assert states[j - 1].burned_before_source == tuple(
+                    w for w in g.vertices if u[w] <= 1), (b.sources, j)
 
 
 @given(graphs(max_vertices=6))
@@ -261,6 +294,12 @@ def test_search_state_budget(monkeypatch):
         burning_number(iterated_sum(7, path_graph(2)))
     monkeypatch.setattr(burning, "_SEARCH_STATES", 897)
     assert burning_number(iterated_sum(7, path_graph(2))) == 8
+    # P20 enters exactly 13,180 states.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_179)
+    with pytest.raises(SizeGuardExceeded, match="13,179 residual states"):
+        burning_number(path_graph(20))
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_180)
+    assert burning_number(path_graph(20)) == 5
     _search.cache_clear()
     monkeypatch.undo()
     assert burning_number(g) == 3
