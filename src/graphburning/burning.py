@@ -6,16 +6,16 @@ region before step j ignites is U_j; a sequence is admissible when each source
 is unburned at its step and the final spread covers the whole graph.  The time
 function lam(v) is the first step at which v burns.
 
-Source sets, the burning number and the number of burnings come from one
-depth-first search memoised on the burned set: before step j the residual
-state is the bitmask S of the region N_{j-1} burned by step j - 1, since the
-sources so far burn any other w at step j - 1 + d(w, S).  So U_j = N[S], and
-igniting an admissible v (one off N[S]) moves to the state N[S] | {v}.  Ordered burnings,
-from an optional source prefix, are listed lazily only where the orderings are
-wanted, by a walk over the same states.  A whole listing reads its length off
-the search first and is refused before it starts when it is too long.  Every
-exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (residual states, listed burnings, subgraph candidates), not of size.
+Validation, the search and the listing share one burn step, `_expand`, on
+bitmasks and with no all-pairs distances.  Before step j the state is the
+bitmask S of the region N_{j-1} burned by step j - 1, since the sources so
+far burn any other w at step j - 1 + d(w, S).  So U_j = N[S], N[S] - S burns
+at step j, and an admissible v (one off N[S]) moves S to N[S] | {v}.  One
+search memoised on S gives the source sets, the burning number and the
+number of burnings; a lazy walk over the same states lists the ordered
+burnings from an optional source prefix.  Every exponential search stops
+with `SizeGuardExceeded` past a constant budget of work (residual states,
+listed burnings, subgraph candidates), not of size.
 
 A connected subgraph holding the sources burns compatibly with a burning b
 iff each of its non-source vertices has an edge in it to a vertex burning a
@@ -33,14 +33,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import InvariantError
 from .graphs import (
-    INF,
     Edge,
     Graph,
     GraphMap,
     Subgraph,
     _adjacency,
+    _vertices,
     classify,
-    distances,
+    compose_graph_maps,
+    identity_map,
     path_graph,
     validate_graph_map,
 )
@@ -68,6 +69,14 @@ class IncompleteBurning(BurningError):
         self.unburned = tuple(sorted(unburned))
 
 
+class SourceOutOfRange(BurningError):
+    """A source that is not a vertex of the graph."""
+
+    def __init__(self, vertex: int):
+        super().__init__(f"source {vertex} out of range")
+        self.vertex = vertex
+
+
 class SizeGuardExceeded(RuntimeError):
     """Explicit refusal to brute force past a work budget."""
 
@@ -80,7 +89,7 @@ def check_sources(g: Graph, sources: Sequence[int]) -> tuple[int, ...]:
         raise BurningError("source sequence entries must be pairwise distinct")
     for v in s:
         if not 0 <= v < g.vertex_count:
-            raise BurningError(f"source {v} out of range")
+            raise SourceOutOfRange(v)
     return s
 
 
@@ -111,9 +120,8 @@ class Burning:
         for v, w in self.graph.edges:
             if abs(self.times[v] - self.times[w]) > 1:
                 raise InvariantError(f"edge ({v},{w}) jumps more than one step")
-        dist = distances(self.graph)
         for a, b in zip(self.sources, self.sources[1:]):
-            if dist[a][b] < 2:
+            if self.graph.has_edge(a, b):
                 raise InvariantError(f"consecutive sources {a},{b} adjacent")
 
     def to_record(self) -> dict:
@@ -125,33 +133,50 @@ class Burning:
         }
 
 
-def _ignite(dist: tuple[tuple[float, ...], ...], best: list[float], step: int,
-            v: int) -> list[float] | None:
-    """Burn times once source v ignites at the given step.
+def _closed_neighbourhoods(g: Graph) -> tuple[int, ...]:
+    """Entry v is the bitmask of the closed neighbourhood N[v]."""
+    return tuple([sum([1 << w for w in a], 1 << v) for v, a in enumerate(_adjacency(g))])
 
-    best holds the burn times under the earlier sources (INF where unreached);
-    the result is min(best(w), step + d(v, w)) for every w.  Returns None when
-    v already burns by this step (v lies in U_step): it is not admissible.
+
+def _expand(nbhd: tuple[int, ...], whole: int, s: int, ns: int) -> tuple[int, int, int]:
+    """One burn step from the state S burned by step j - 1, given N[S].
+
+    Returns the bitmasks of the admissible sources (off N[S]) and of the
+    vertices N[S] - S that burn at step j, and N[N[S]]; igniting v moves to
+    the state N[S] | {v}, with closed neighbourhood N[N[S]] | N[v].
     """
-    if best[v] <= step:
-        return None
-    return [min(b, step + d) for b, d in zip(best, dist[v])]
+    ones = rest = ns & ~s
+    nns = ns
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        nns |= nbhd[bit.bit_length() - 1]
+    return whole & ~ns, ones, nns
 
 
 def validate_burning(g: Graph, sources: Sequence[int]) -> Burning:
-    """Accept exactly the admissible sequences and compute the time function."""
+    """Accept exactly the admissible sequences and compute the time function.
+
+    The sources walk through `_expand`: v_j must lie off N[S], and a vertex
+    still admissible after the last source never burns.
+    """
     s = check_sources(g, sources)
-    dist = distances(g)
-    best = [INF] * g.vertex_count
+    nbhd = _closed_neighbourhoods(g)
+    whole = (1 << g.vertex_count) - 1
+    times = [0] * g.vertex_count
+    burned = near = 0
     for j, v in enumerate(s, start=1):
-        ignited = _ignite(dist, best, j, v)
-        if ignited is None:
+        if near >> v & 1:
             raise SourceTooEarly(j, v)
-        best = ignited
-    unburned = [v for v in g.vertices if best[v] > len(s) + 1]
+        _, ones, nns = _expand(nbhd, whole, burned, near)
+        for w in _vertices(ones | 1 << v):
+            times[w] = j
+        burned, near = near | 1 << v, nns | nbhd[v]
+    unburned = _expand(nbhd, whole, burned, near)[0]
     if unburned:
-        raise IncompleteBurning(unburned)
-    return Burning(g, s, tuple(best), max(best))
+        raise IncompleteBurning(_vertices(unburned))
+    times = tuple([t or len(s) + 1 for t in times])  # the rest burn at k + 1
+    return Burning(g, s, times, max(times))
 
 
 def burning_map(b: Burning) -> GraphMap:
@@ -178,23 +203,15 @@ def _too_many_states(g: Graph) -> SizeGuardExceeded:
         f"on a graph with {g.vertex_count} vertices")
 
 
-def _closed_neighbourhoods(g: Graph) -> tuple[int, ...]:
-    """Entry v is the bitmask of the closed neighbourhood N[v]."""
-    return tuple([sum([1 << w for w in a], 1 << v) for v, a in enumerate(_adjacency(g))])
-
-
 def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
     """Every burning of g that begins with the given sources, lexicographic.
 
-    Depth-first, lazily, over the burned-set states S of `_search` (the
-    sources so far burn w off S at step j - 1 + d(w, S)).  Each is expanded
-    once into its admissible v in vertex order (off N[S]; the child is
-    N[S] | {v}), its vertices N[S] - S burning at its step, and N[N[S]];
-    below the start only the next start source is followed, so an
-    inadmissible start yields nothing.  A burning's times are written along
-    its path and read at its leaf, whose end time is its step if N[S] != S
-    and the step before otherwise.  No burning sequence is a proper prefix
-    of another, since a leaf has no admissible source.  Past `_SEARCH_STATES`
+    Depth-first, lazily, over the burned-set states S of `_search`, each
+    expanded once by `_expand`; below the start only the next start source
+    is followed, so an inadmissible start yields nothing.  Times are written
+    along a burning's path and read at its leaf, whose end time is its step
+    if N[S] != S, else the step before (a leaf has no admissible source, so
+    no burning sequence is a proper prefix of another).  Past `_SEARCH_STATES`
     states or `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
@@ -212,19 +229,8 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
         if found is None:
             if len(memo) >= _SEARCH_STATES:
                 raise _too_many_states(g)
-            admissible, ones = [], []
-            nns = ns
-            rest = whole & ~s
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
-                if ns & bit:
-                    ones.append(v)
-                    nns |= nbhd[v]
-                else:
-                    admissible.append(v)
-            found = memo[s] = (tuple(admissible), tuple(ones), nns)
+            admissible, ones, nns = _expand(nbhd, whole, s, ns)
+            found = memo[s] = (_vertices(admissible), _vertices(ones), nns)
         admissible, ones, nns = found
         for w in ones:
             times[w] = step
@@ -270,14 +276,12 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
     the number of burnings.
 
     Depth-first over the residual states: before step j, the bitmask S of
-    the region burned by step j - 1, as the sources so far burn w off S at
-    step j - 1 + d(w, S).  With N[S] the union of the closed neighbourhoods
-    of S, v is admissible iff it is off N[S], its child is N[S] | {v}, and a
-    state with N[S] whole closes a burning, with end offset 0 if N[S] != S
-    and -1 otherwise.  Each state is searched once and maps to the source
-    sets of its completions, their least end offset and their number: 1 at
-    a leaf, else the sum over its children.  Past `_SEARCH_STATES` states
-    entered it raises `SizeGuardExceeded`.
+    the region burned by step j - 1.  Each state takes the step `_expand`;
+    one with no admissible source closes a burning, with end offset 0 if
+    some vertex burns at its step and -1 otherwise.  Each state is searched
+    once and maps to the source sets of its completions, their least end
+    offset and their number: 1 at a leaf, else the sum over its children.
+    Past `_SEARCH_STATES` states entered it raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
@@ -292,17 +296,10 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
         entered += 1
         if entered > _SEARCH_STATES:
             raise _too_many_states(g)
-        # N[N[S]] adds to N[S] the neighbourhoods of N[S] - S alone.
-        nns = ns
-        rest = ns & ~s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            nns |= nbhd[bit.bit_length() - 1]
+        free, ones, nns = _expand(nbhd, whole, s, ns)
         sets: set[int] = set()
-        least: float = INF
+        least = g.vertex_count  # past any end offset: each step burns a vertex
         count = 0
-        free = whole & ~ns
         while free:
             bit = free & -free
             free ^= bit
@@ -312,7 +309,7 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
             if child_least < least:
                 least = child_least
             count += child_count
-        found = memo[s] = (sets, least + 1, count) if sets else ({0}, 0 if ns != s else -1, 1)
+        found = memo[s] = (sets, least + 1, count) if sets else ({0}, 0 if ones else -1, 1)
         return found
 
     masks, least, count = visit(0, 0)
@@ -322,7 +319,7 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
 def source_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The distinct source sets of all burnings as sorted tuples, in order."""
     masks = _search(g)[0]
-    return tuple(sorted(tuple(v for v in g.vertices if m >> v & 1) for m in masks))
+    return tuple(sorted(_vertices(m) for m in masks))
 
 
 def burning_number(g: Graph) -> int:
@@ -396,14 +393,12 @@ def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphis
 
 
 def identity_morphism(b: Burning) -> BurningMorphism:
-    from .graphs import identity_map
     return validate_morphism(identity_map(b.graph), b, b)
 
 
 def compose_morphisms(second: BurningMorphism, first: BurningMorphism) -> BurningMorphism:
     if first.codomain != second.domain:
         raise MorphismError("morphisms do not compose")
-    from .graphs import compose_graph_maps
     f = compose_graph_maps(second.graph_map, first.graph_map)
     return validate_morphism(f, first.domain, second.codomain)
 

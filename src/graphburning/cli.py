@@ -15,8 +15,12 @@ import os
 import sys
 
 from .burning import (
+    Burning,
     BurningError,
+    IncompleteBurning,
     SizeGuardExceeded,
+    SourceOutOfRange,
+    SourceTooEarly,
     burning_number,
     enumerate_burnings,
     extremal_path_report,
@@ -79,6 +83,19 @@ def shift(values, one_based: bool):
     return [v + delta for v in values]
 
 
+def _validate(args) -> Burning:
+    """The burning of the graph by the sources; its errors name the user's labels."""
+    g = load_graph(args.graph)
+    try:
+        return validate_burning(g, parse_sources(args.sources, args.one_based))
+    except SourceTooEarly as exc:
+        raise SourceTooEarly(exc.step, *shift([exc.vertex], args.one_based)) from None
+    except SourceOutOfRange as exc:
+        raise SourceOutOfRange(*shift([exc.vertex], args.one_based)) from None
+    except IncompleteBurning as exc:
+        raise IncompleteBurning(shift(exc.unburned, args.one_based)) from None
+
+
 def _emit(args, record: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         record["schema"] = SCHEMA
@@ -119,10 +136,8 @@ def cmd_burning_number(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    g = load_graph(args.graph)
-    sources = parse_sources(args.sources, args.one_based)
     try:
-        b = validate_burning(g, sources)
+        b = _validate(args)
     except BurningError as exc:
         _emit(args, {"valid": False, "reason": str(exc)}, [f"invalid: {exc}"])
         return 1
@@ -165,10 +180,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_minimal_subgraphs(args) -> int:
-    g = load_graph(args.graph)
-    sources = parse_sources(args.sources, args.one_based)
     try:
-        b = validate_burning(g, sources)
+        b = _validate(args)
     except BurningError as exc:
         raise UsageError(f"not a burning sequence: {exc}") from None
     subgraphs = minimal_b_burned_subgraphs(b)
@@ -177,13 +190,9 @@ def cmd_minimal_subgraphs(args) -> int:
                   {"vertices": shift(h.vertices, args.one_based),
                    "edges": [shift(e, args.one_based) for e in sorted(h.edges)]}
                   for h in subgraphs]}
-    lines = []
-    for h in subgraphs:
-        vs = ",".join(map(str, shift(h.vertices, args.one_based)))
-        es = " ".join(f"{e[0]}-{e[1]}"
-                      for e in (shift(e, args.one_based) for e in sorted(h.edges)))
-        lines.append(f"vertices {vs} edges {es}")
-    lines.append(f"total {len(subgraphs)}")
+    lines = [f"vertices {','.join(map(str, h['vertices']))} edges "
+             + " ".join(f"{a}-{b}" for a, b in h["edges"])
+             for h in record["minimal_subgraphs"]] + [f"total {len(subgraphs)}"]
     _emit(args, record, lines)
     return 0
 
@@ -281,13 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     args.one_based = getattr(args, "one_based", False)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (GraphError, BurningError, SizeGuardExceeded, ValueError) as exc:
+    except (UsageError, SizeGuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

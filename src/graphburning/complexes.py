@@ -18,7 +18,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .burning import BurningError, _search
-from .graphs import Graph, GraphMap
+from .graphs import Graph, GraphMap, _vertices
 
 Simplex = tuple[int, ...]
 
@@ -64,10 +64,6 @@ class SimplicialComplex:
     def to_record(self) -> dict:
         return {"vertex_count": self.vertex_count,
                 "facets": sorted(list(f) for f in self.facets)}
-
-
-def _vertices(mask: int) -> Simplex:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -71,6 +71,16 @@ def _adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(a)) for a in adj)
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask (bit v set iff v is in the set), in order."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Subgraph:
     """A subgraph of an ambient graph: explicit vertex set and edge subset."""

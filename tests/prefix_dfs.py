@@ -1,9 +1,10 @@
 """The prefix depth-first listing of ordered burnings, evaluated literally.
 
 A test oracle for `graphburning.burning._burnings`, which walks the memoised
-residual states: this one ignites every vertex at every node with
-`_ignite` (the step `validate_burning` uses) and closes a burning once every
-burn time is at most the current step.  No state is shared between nodes.
+residual states: this one ignites every vertex at every node with `_ignite`,
+a literal fold of the all-pairs distances that shares no code with the
+package's burn step, and closes a burning once every burn time is at most
+the current step.  No state is shared between nodes.
 """
 
 from __future__ import annotations
@@ -11,8 +12,20 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from graphburning import Burning, Graph
-from graphburning.burning import _ignite
 from graphburning.graphs import INF, distances
+
+
+def _ignite(dist: tuple[tuple[float, ...], ...], best: list[float], step: int,
+            v: int) -> list[float] | None:
+    """Burn times once source v ignites at the given step.
+
+    best holds the burn times under the earlier sources (INF where unreached);
+    the result is min(best(w), step + d(v, w)) for every w.  Returns None when
+    v already burns by this step (v lies in U_step): it is not admissible.
+    """
+    if best[v] <= step:
+        return None
+    return [min(b, step + d) for b, d in zip(best, dist[v])]
 
 
 def prefix_burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:

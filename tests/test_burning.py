@@ -33,7 +33,7 @@ from graphburning import (
     validate_morphism,
 )
 from graphburning import burning
-from graphburning.burning import _burnings, _closed_form_witness, _ignite, _search
+from graphburning.burning import _burnings, _closed_form_witness, _search
 from graphburning.graphs import (
     INF,
     Graph,
@@ -49,7 +49,7 @@ from graphburning.graphs import (
 
 from conftest import connected_graphs, graphs
 from filtration import filtration
-from prefix_dfs import prefix_burnings
+from prefix_dfs import _ignite, prefix_burnings
 
 # Two five-vertex graphs burned by the same source pair: on the first the
 # burning map preserves every edge, on the second one edge collapses.
@@ -85,6 +85,54 @@ def test_bad_source_sequences():
         validate_burning(g, (0, 0))
     with pytest.raises(BurningError):
         validate_burning(g, (7,))
+
+
+def _folded(g, seq):
+    """validate_burning's outcome by folding `_ignite` over the distances."""
+    dist = distances(g)
+    best = [INF] * g.vertex_count
+    for j, v in enumerate(seq, start=1):
+        ignited = _ignite(dist, best, j, v)
+        if ignited is None:
+            return SourceTooEarly, j, v
+        best = ignited
+    unburned = tuple(v for v in g.vertices if best[v] > len(seq) + 1)
+    if unburned:
+        return IncompleteBurning, unburned
+    return tuple(best), max(best)
+
+
+@given(graphs(max_vertices=6))
+@settings(max_examples=40, deadline=None)
+def test_validate_matches_literal_fold(g):
+    """Times and end time, or the error and its fields, as the distance fold
+    gives them: every sequence of up to three distinct vertices and the
+    sources of every listed burning."""
+    sequences = [seq for k in range(1, 4) for seq in permutations(g.vertices, k)]
+    for seq in sequences + [b.sources for b in enumerate_burnings(g)]:
+        try:
+            b = validate_burning(g, seq)
+        except SourceTooEarly as exc:
+            got = SourceTooEarly, exc.step, exc.vertex
+        except IncompleteBurning as exc:
+            got = IncompleteBurning, exc.unburned
+        else:
+            got = b.times, b.end_time
+        assert got == _folded(g, seq), seq
+
+
+@pytest.mark.parametrize("times, sources, message", [
+    ((2, 2, 3), (0,), "source 0 burns at 2 != 1"),
+    ((1, 3, 3), (0,), "times not surjective onto 1..T"),
+    ((1, 2, 3), (0,), "T=3 with k=1"),
+    ((1, 3, 2), (0, 2), "edge (0,1) jumps more than one step"),
+    ((1, 2, 3), (0, 1), "consecutive sources 0,1 adjacent"),
+])
+def test_check_invariants_raises(times, sources, message):
+    """Every broken invariant of a hand-built burning of P3 raises its message."""
+    with pytest.raises(InvariantError) as err:
+        Burning(path_graph(3), sources, times, max(times)).check_invariants()
+    assert str(err.value) == message
 
 
 @given(connected_graphs(max_vertices=6))
@@ -151,8 +199,9 @@ def test_enumeration_matches_literal_filtration(g):
     """Every permutation prefix judged by the literal filtration alone.
 
     A sequence is a burning iff v_j is not in U_j for j >= 2 and N_{k+1} = V;
-    its times are first appearances in the filtration.  validate_burning and
-    the search share their ignition step, so this is the independent oracle.
+    its times are first appearances in the filtration.  validate_burning, the
+    search and the listing share one burn step, `_expand`, so this is their
+    independent oracle.
     """
     everything = set(g.vertices)
     brute = set()

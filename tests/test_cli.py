@@ -67,6 +67,24 @@ def test_validate_command(capsys):
     assert code == 0
 
 
+def test_one_based_errors_name_the_given_labels(capsys):
+    """Validation errors print the labels as typed, not the 0-based ones."""
+    cases = [("path:5", "1,2", "source 2 at step 2 is already burned (lies in U_2)"),
+             ("path:9", "1", "vertices [3, 4, 5, 6, 7, 8, 9] never burn"),
+             ("path:5", "0", "source 0 out of range"),
+             ("path:5", "6", "source 6 out of range")]
+    for graph, sources, reason in cases:
+        code, out, _ = run(capsys, "--one-based", "validate", graph, sources)
+        assert (code, out) == (1, f"invalid: {reason}\n")
+        code, out, _ = run(capsys, "--one-based", "--format", "json", "validate",
+                           graph, sources)
+        assert code == 1 and json.loads(out)["reason"] == reason
+        code, out, err = run(capsys, "--one-based", "minimal-subgraphs", graph, sources)
+        assert (code, out, err) == (2, "", f"error: not a burning sequence: {reason}\n")
+    code, out, _ = run(capsys, "validate", "path:5", "0,1")
+    assert out == "invalid: source 1 at step 2 is already burned (lies in U_2)\n"
+
+
 def test_complex_command_round_trip(capsys):
     code, out, _ = run(capsys, "--format", "json", "complex", "path:5")
     record = json.loads(out)
