@@ -9,25 +9,25 @@ its integer homology.  Useful for spotting patterns past the worked examples.
 import argparse
 
 from graphburning import (
+    burning_count,
     burning_map,
     burning_number,
     complete_graph,
     configuration_space,
     cube_graph,
     cycle_graph,
-    enumerate_burnings,
     homology,
+    iter_burnings,
     path_graph,
 )
 
 
 def survey(name, g):
-    burnings = enumerate_burnings(g)
-    has_hom = any(burning_map(b).is_homomorphism for b in burnings)
+    has_hom = any(burning_map(b).is_homomorphism for b in iter_burnings(g))
     c = configuration_space(g)
     groups = homology(c)
     hom_text = ", ".join(str(grp) for grp in groups)
-    print(f"{name:14s} burnings={len(burnings):5d} b={burning_number(g)} "
+    print(f"{name:14s} burnings={burning_count(g):5d} b={burning_number(g)} "
           f"hom={'y' if has_hom else 'n'} dim={c.dimension} H*=[{hom_text}]")
 
 

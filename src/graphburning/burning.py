@@ -12,8 +12,10 @@ bitmask S of the region N_{j-1} burned by step j - 1, since the sources so
 far burn any other w at step j - 1 + d(w, S).  So U_j = N[S], N[S] - S burns
 at step j, and an admissible v (one off N[S]) moves S to N[S] | {v}.  One
 search memoised on S gives the source sets, the burning number and the
-number of burnings; a lazy walk over the same states lists the ordered
-burnings from an optional source prefix.  Every exponential search stops
+number of burnings (`burning_count`); a lazy walk over the same states
+yields the ordered burnings from an optional source prefix, one at a time
+(`iter_burnings`, which counts first and so refuses an oversized listing
+before it yields anything).  Every exponential search stops
 with `SizeGuardExceeded` past a constant budget of work (residual states,
 listed burnings, subgraph candidates), not of size.
 
@@ -253,18 +255,24 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
     return walk(0, 0)
 
 
-def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
-    """Every burning of g, lexicographic in the source sequences.
+def iter_burnings(g: Graph) -> Iterator[Burning]:
+    """Every burning of g, lexicographic in the source sequences, lazily.
 
-    The search counts the burnings first, so a listing past `_LISTED_BURNINGS`
-    is refused before any burning is built.
+    The search counts the burnings on the call itself, so a listing past
+    `_LISTED_BURNINGS` is refused before the first `next`; the walk then
+    holds one burning at a time.
     """
-    total = _search(g)[2]
+    total = burning_count(g)
     if total > _LISTED_BURNINGS:
         raise SizeGuardExceeded(
             f"a graph with {g.vertex_count} vertices has {total:,} burnings, "
             f"past the listing budget of {_LISTED_BURNINGS:,} burnings")
-    return tuple(_burnings(g))
+    return _burnings(g)
+
+
+def enumerate_burnings(g: Graph) -> tuple[Burning, ...]:
+    """Every burning of g as a tuple: `iter_burnings`, held whole."""
+    return tuple(iter_burnings(g))
 
 
 # One result per graph, bounded: the survey asks each graph for its burnings,
@@ -325,6 +333,11 @@ def source_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
 def burning_number(g: Graph) -> int:
     """The least end time over all burnings of g."""
     return _search(g)[1]
+
+
+def burning_count(g: Graph) -> int:
+    """The number of burnings of g, from the search, with none listed."""
+    return _search(g)[2]
 
 
 # ---------------------------------------------------------------------------

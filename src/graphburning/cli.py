@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .burning import (
     Burning,
@@ -21,9 +22,11 @@ from .burning import (
     SizeGuardExceeded,
     SourceOutOfRange,
     SourceTooEarly,
+    burning_count,
+    burning_map,
     burning_number,
-    enumerate_burnings,
     extremal_path_report,
+    iter_burnings,
     minimal_b_burned_subgraphs,
     validate_burning,
 )
@@ -116,15 +119,32 @@ def _burning_record(b, one_based: bool) -> dict:
 
 
 def cmd_burnings(args) -> int:
+    """Stream the listing: each burning is written as the walk yields it.
+
+    The JSON bytes are those of `json.dumps(record, sort_keys=True)` on the
+    whole record, whose key "burnings" sorts before "schema" and
+    "vertex_count".  Records are encoded a batch at a time, a list with its
+    brackets cut off, since each `encode` call builds a new encoder.
+    `iter_burnings` refuses before any byte is written.
+    """
     g = load_graph(args.graph)
-    burnings = enumerate_burnings(g)
-    records = [_burning_record(b, args.one_based) for b in burnings]
-    record = {"vertex_count": g.vertex_count, "burnings": records}
-    lines = [] if args.format == "json" else [
-        f"sources {','.join(map(str, rec['sources']))} end_time {rec['end_time']}"
-        + (" hom" if rec["is_homomorphism"] else "") for rec in records
-    ] + [f"total {len(burnings)}"]
-    _emit(args, record, lines)
+    burnings = iter_burnings(g)
+    write = sys.stdout.write
+    if args.format == "json":
+        encode = json.JSONEncoder(sort_keys=True).encode
+        records = (_burning_record(b, args.one_based) for b in burnings)
+        write('{"burnings": [')
+        separator = ""
+        while batch := list(islice(records, 32)):
+            write(separator + encode(batch)[1:-1])
+            separator = ", "
+        write(f'], "schema": {SCHEMA}, "vertex_count": {g.vertex_count}}}\n')
+    else:
+        for b in burnings:
+            hom = " hom" if burning_map(b).is_homomorphism else ""
+            write(f"sources {','.join(map(str, shift(b.sources, args.one_based)))} "
+                  f"end_time {b.end_time}{hom}\n")
+        write(f"total {burning_count(g)}\n")
     return 0
 
 

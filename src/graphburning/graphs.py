@@ -246,13 +246,23 @@ def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def closed_neighborhood(g: Graph, v: int, n: int) -> Subgraph:
-    """The induced subgraph on every vertex within distance n of v."""
+    """The induced subgraph on every vertex within distance n of v.
+
+    One BFS from v, stopped after n rings or when a ring comes up empty.
+    """
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"vertex {v} out of range")
     if n < 0:
         raise GraphError("neighborhood radius must be >= 0")
-    dist = distances(g)[v]
-    return induced_subgraph(g, (w for w in g.vertices if dist[w] <= n))
+    adj = _adjacency(g)
+    ball = {v}
+    ring = {v}
+    for _ in range(n):
+        ring = {w for u in ring for w in adj[u]} - ball
+        if not ring:
+            break
+        ball.update(ring)
+    return induced_subgraph(g, ball)
 
 
 def induced_union(parts: Sequence[Subgraph]) -> Subgraph:

@@ -15,12 +15,13 @@ from itertools import combinations
 from typing import Callable
 
 from .burning import (
+    burning_count,
     burning_map,
     burning_number,
     compose_morphisms,
-    enumerate_burnings,
     extremal_path_report,
     identity_morphism,
+    iter_burnings,
     minimal_b_burned_subgraphs,
     source_sets,
     validate_burning,
@@ -279,14 +280,13 @@ def check_cube() -> CheckResult:
     statement = ("every burning of the 3-cube has exactly two sources and its "
                  "configuration space is the complement graph as a 1-complex")
     q = cube_graph()
-    burnings = enumerate_burnings(q)
-    two_sources = all(len(b.sources) == 2 for b in burnings)
+    two_sources = all(len(b.sources) == 2 for b in iter_burnings(q))
     c = configuration_space(q)
     dim_ok = c.dimension == 1
     equal = one_skeleton_graph(c) == complement(q)
     ok = two_sources and dim_ok and equal
     return _result("cube", statement, ok, {
-        "burning_count": len(burnings), "all_two_sources": two_sources,
+        "burning_count": burning_count(q), "all_two_sources": two_sources,
         "dimension": c.dimension, "equals_complement": equal})
 
 
@@ -319,7 +319,7 @@ def check_minimal_subgraphs() -> CheckResult:
     corpus = [(name, g) for name, g in connected_corpus(6)
               if len(g.edges) <= 9]
     for name, g in corpus:
-        b_first = enumerate_burnings(g)[0]
+        b_first = next(iter_burnings(g))
         for h in minimal_b_burned_subgraphs(b_first):
             local, _ = h.as_graph()
             if not classify(local).tree:
@@ -362,7 +362,7 @@ def check_no_homomorphism_odd_cycles() -> CheckResult:
                if not classify(g).bipartite]
     bad = []
     for name, g in corpus:
-        for b in enumerate_burnings(g):
+        for b in iter_burnings(g):
             if burning_map(b).is_homomorphism:
                 bad.append((name, b.sources))
     return _result("no-homomorphism-odd-cycles", statement, not bad,
@@ -402,7 +402,7 @@ def check_property_suites() -> CheckResult:
     small = [(n_, g) for n_, g in named_graphs(6)] + random_graphs(20, 6, RANDOM_SEED + 2)
     small.append(("cube", cube_graph()))
     for name, g in small:
-        for b in enumerate_burnings(g):
+        for b in iter_burnings(g):
             try:
                 b.check_invariants()
                 burning_map(b)

@@ -16,6 +16,7 @@ from graphburning import (
     SizeGuardExceeded,
     SourceTooEarly,
     admits_extension,
+    burning_count,
     burning_map,
     burning_number,
     classify,
@@ -27,6 +28,7 @@ from graphburning import (
     induced_subgraph,
     is_b_burned,
     is_burning_extension,
+    iter_burnings,
     minimal_b_burned_subgraphs,
     source_sets,
     validate_burning,
@@ -250,10 +252,10 @@ def test_listing_matches_prefix_dfs_on_families():
 def test_completion_counts():
     """A state's count is the sum over its children; k x P2 has k! 2^k burnings."""
     for g in [path_graph(n) for n in range(1, 13)] + [cycle_graph(12)]:
-        assert _search(g)[2] == len(list(prefix_burnings(g)))
+        assert burning_count(g) == len(list(prefix_burnings(g)))
     for k in range(1, 9):
         g = iterated_sum(k, path_graph(2))
-        assert _search(g)[2] == math.factorial(k) * 2 ** k
+        assert burning_count(g) == math.factorial(k) * 2 ** k
 
 
 def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
@@ -270,11 +272,23 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
 
 
+def test_iter_burnings_refuses_on_the_call():
+    """The count runs when `iter_burnings` is called, before any `next`."""
+    with pytest.raises(SizeGuardExceeded, match="has 645,120 burnings"):
+        iter_burnings(iterated_sum(7, path_graph(2)))
+    g = iterated_sum(6, path_graph(2))
+    listing = iter_burnings(g)
+    assert iter(listing) is listing
+    assert next(listing) == validate_burning(g, (0, 2, 4, 6, 8, 10))
+
+
 @given(graphs(max_vertices=6))
 @settings(max_examples=60, deadline=None)
 def test_search_matches_enumeration(g):
-    """Source sets and burning number from the memoised residual-state search."""
+    """Source sets, burning number and count from the memoised residual-state search."""
     burnings = enumerate_burnings(g)
+    assert burning_count(g) == len(burnings)
+    assert list(iter_burnings(g)) == list(burnings)
     assert set(source_sets(g)) == {tuple(sorted(b.sources)) for b in burnings}
     assert list(source_sets(g)) == sorted(source_sets(g))
     assert burning_number(g) == min(b.end_time for b in burnings)

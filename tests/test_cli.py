@@ -1,13 +1,21 @@
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from graphburning import InvariantError, configuration_space, parse_graph_text, path_graph
+from graphburning import (
+    InvariantError,
+    configuration_space,
+    enumerate_burnings,
+    parse_graph_text,
+    path_graph,
+)
 from graphburning import burning, cli, verify
 from graphburning.cli import UsageError, load_graph, main, parse_sources
 
@@ -108,6 +116,44 @@ def test_burnings_text_command(capsys):
         "sources 2,0 end_time 2", "total 3"]
     code, out, _ = run(capsys, "--one-based", "burnings", "path:3")
     assert out.splitlines()[1] == "sources 2 end_time 2 hom"
+
+
+STREAMED_GRAPHS = ([f"path:{n}" for n in range(1, 9)] + [f"cycle:{n}" for n in range(3, 9)]
+                   + [f"sum:{k},path:2" for k in range(1, 5)]
+                   + ["cube", "n 6\n0 1\n1 2\n3 4\n"])
+
+
+@pytest.mark.parametrize("spec", STREAMED_GRAPHS)
+def test_streamed_listing_matches_the_whole_record(capsys, spec):
+    """The streamed bytes equal the record built whole and dumped at once."""
+    g = load_graph(spec)
+    for one_based, flags in ((False, []), (True, ["--one-based"])):
+        records = []
+        for b in enumerate_burnings(g):
+            rec = b.to_record()
+            rec["sources"] = [v + one_based for v in rec["sources"]]
+            records.append(rec)
+        whole = {"vertex_count": g.vertex_count, "burnings": records, "schema": 1}
+        assert run(capsys, "--format", "json", "burnings", spec, *flags) == (
+            0, json.dumps(whole, sort_keys=True) + "\n", "")
+        lines = [f"sources {','.join(map(str, rec['sources']))} end_time {rec['end_time']}"
+                 + (" hom" if rec["is_homomorphism"] else "") for rec in records]
+        lines.append(f"total {len(records)}")
+        assert run(capsys, "burnings", spec, *flags) == (0, "".join(f"{x}\n" for x in lines), "")
+
+
+def test_listing_holds_one_burning_at_a_time():
+    """The 3,840 burnings of 5xP2 pass through well under 1 MiB of heap;
+    building the listing and its JSON whole took over 6 MiB."""
+    burning._search.cache_clear()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["burnings", "sum:5,path:2", "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_homology_command(capsys):

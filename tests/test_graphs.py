@@ -146,6 +146,22 @@ def test_closed_neighborhood_is_distance_ball():
     assert closed_neighborhood(g, 3, 0).vertices == (3,)
     assert closed_neighborhood(g, 3, 2).vertices == (1, 2, 3, 4, 5)
     assert closed_neighborhood(g, 0, 10).vertices == tuple(range(7))
+    with pytest.raises(GraphError, match="out of range"):
+        closed_neighborhood(g, 7, 1)
+    with pytest.raises(GraphError, match="radius"):
+        closed_neighborhood(g, 0, -1)
+
+
+@given(graphs())
+def test_closed_neighborhood_matches_distance_rows(g):
+    """The cut-off BFS reads the same ball as the all-pairs distances,
+    disconnected graphs and radii past the diameter included."""
+    dist = distances(g)
+    diameter = max(d for row in dist for d in row if d != math.inf)
+    for v in g.vertices:
+        for n in range(int(diameter) + 2):
+            want = induced_subgraph(g, (w for w in g.vertices if dist[v][w] <= n))
+            assert closed_neighborhood(g, v, n) == want
 
 
 def test_induced_subgraph_and_union():
