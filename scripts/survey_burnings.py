@@ -10,7 +10,6 @@ import argparse
 
 from graphburning import (
     burning_count,
-    burning_map,
     burning_number,
     complete_graph,
     configuration_space,
@@ -23,7 +22,7 @@ from graphburning import (
 
 
 def survey(name, g):
-    has_hom = any(burning_map(b).is_homomorphism for b in iter_burnings(g))
+    has_hom = any(b.is_homomorphism for b in iter_burnings(g))
     c = configuration_space(g)
     groups = homology(c)
     hom_text = ", ".join(str(grp) for grp in groups)

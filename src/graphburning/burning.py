@@ -15,9 +15,12 @@ search memoised on S gives the source sets, the burning number and the
 number of burnings (`burning_count`); a lazy walk over the same states
 yields the ordered burnings from an optional source prefix, one at a time
 (`iter_burnings`, which counts first and so refuses an oversized listing
-before it yields anything).  Every exponential search stops
-with `SizeGuardExceeded` past a constant budget of work (residual states,
-listed burnings, subgraph candidates), not of size.
+before it yields anything).  A burning reads its homomorphism flag off its
+time function (`Burning.is_homomorphism`: no edge inside one time class),
+with no graph map built; `burning_map` certifies the map itself.  Every
+exponential search stops with `SizeGuardExceeded` past a constant budget of
+work (residual states, listed burnings, subgraph candidates), not of size,
+and an extremal-path witness past a constant path length is refused.
 
 A connected subgraph holding the sources burns compatibly with a burning b
 iff each of its non-source vertices has an edge in it to a vertex burning a
@@ -110,7 +113,24 @@ class Burning:
     def source_set(self) -> frozenset[int]:
         return frozenset(self.sources)
 
+    @property
+    def is_homomorphism(self) -> bool:
+        """Whether the burning map to the end-time path is a homomorphism.
+
+        The time function is a graph map to P_T, so it is one iff no edge
+        joins two vertices that burn at the same step; `burning_map` is the
+        certified map.
+        """
+        t = self.times
+        return all(t[v] != t[w] for v, w in self.graph.edges)
+
     def check_invariants(self) -> None:
+        n = self.graph.vertex_count
+        if len(self.times) != n:
+            raise InvariantError(f"{len(self.times)} times for {n} vertices")
+        for v in self.sources:
+            if not 0 <= v < n:
+                raise InvariantError(f"source {v} out of range")
         k = len(self.sources)
         for i, v in enumerate(self.sources, start=1):
             if self.times[v] != i:
@@ -131,7 +151,7 @@ class Burning:
             "sources": list(self.sources),
             "lambda": list(self.times),
             "end_time": self.end_time,
-            "is_homomorphism": burning_map(self).is_homomorphism,
+            "is_homomorphism": self.is_homomorphism,
         }
 
 
@@ -571,9 +591,15 @@ _EXTREMAL_N = {
 }
 
 
+# The witness path is built and burned on bitmasks whose closed
+# neighbourhoods take about n^2/16 bytes: P40000 (max-n-for-T at 200) peaks
+# at ~135 MiB, and max-n-for-T at 1000 would need ~60 GiB.
+_WITNESS_VERTICES = 40_000
+
+
 def _witness_ok(kind: str, p: int, b: Burning) -> bool:
     size = b.end_time if kind.startswith("max-n-for-T") else len(b.sources)
-    return size == p and (not kind.endswith("-hom") or burning_map(b).is_homomorphism)
+    return size == p and (not kind.endswith("-hom") or b.is_homomorphism)
 
 
 def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
@@ -581,13 +607,18 @@ def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
 
     The witness is the closed-form source sequence; one that does not burn
     the path raises `BurningError`, one that burns it without meeting the
-    constraint `InvariantError`.
+    constraint `InvariantError`.  A path past `_WITNESS_VERTICES` vertices
+    raises `SizeGuardExceeded` before it is built.
     """
     if param < 1:
         raise ValueError("parameter must be >= 1")
     if kind not in _EXTREMAL_N:
         raise ValueError(f"unknown extremal kind {kind!r}")
     n = _EXTREMAL_N[kind](param)
+    if n > _WITNESS_VERTICES:
+        raise SizeGuardExceeded(
+            f"the {kind} witness at {param} needs P{n}, past the witness "
+            f"budget of {_WITNESS_VERTICES:,} vertices")
     one_based = _closed_form_witness(kind, param)
     b = validate_burning(path_graph(n), tuple(v - 1 for v in one_based))
     if not _witness_ok(kind, param, b):

@@ -23,7 +23,6 @@ from .burning import (
     SourceOutOfRange,
     SourceTooEarly,
     burning_count,
-    burning_map,
     burning_number,
     extremal_path_report,
     iter_burnings,
@@ -141,7 +140,7 @@ def cmd_burnings(args) -> int:
         write(f'], "schema": {SCHEMA}, "vertex_count": {g.vertex_count}}}\n')
     else:
         for b in burnings:
-            hom = " hom" if burning_map(b).is_homomorphism else ""
+            hom = " hom" if b.is_homomorphism else ""
             write(f"sources {','.join(map(str, shift(b.sources, args.one_based)))} "
                   f"end_time {b.end_time}{hom}\n")
         write(f"total {burning_count(g)}\n")

@@ -129,6 +129,8 @@ def test_validate_matches_literal_fold(g):
     ((1, 2, 3), (0,), "T=3 with k=1"),
     ((1, 3, 2), (0, 2), "edge (0,1) jumps more than one step"),
     ((1, 2, 3), (0, 1), "consecutive sources 0,1 adjacent"),
+    ((1,), (0,), "1 times for 3 vertices"),
+    ((1, 2, 2), (5,), "source 5 out of range"),
 ])
 def test_check_invariants_raises(times, sources, message):
     """Every broken invariant of a hand-built burning of P3 raises its message."""
@@ -411,6 +413,28 @@ def test_burning_map_edge_collapse():
     assert b_a.times == b_b.times == (1, 2, 2, 3, 2)
     assert burning_map(b_a).is_homomorphism
     assert not burning_map(b_b).is_homomorphism  # the extra edge collapses
+    assert b_a.is_homomorphism
+    assert not b_b.is_homomorphism
+
+
+def _flag_matches_map(g):
+    for b in enumerate_burnings(g):
+        assert b.is_homomorphism == burning_map(b).is_homomorphism, b.sources
+
+
+@given(graphs(max_vertices=6))
+@settings(max_examples=50, deadline=None)
+def test_homomorphism_flag_matches_burning_map(g):
+    """The flag read off the times is the certified graph map's, on bipartite
+    and disconnected graphs too."""
+    _flag_matches_map(g)
+
+
+def test_homomorphism_flag_matches_burning_map_on_families():
+    cases = ([path_graph(n) for n in range(1, 11)] + [cycle_graph(n) for n in range(3, 11)]
+             + [iterated_sum(k, path_graph(2)) for k in range(1, 5)])
+    for g in cases:
+        _flag_matches_map(g)
 
 
 @given(graphs(max_vertices=6))
@@ -754,6 +778,16 @@ def test_extremal_bounds_are_tight():
         assert burning_number(path_graph(t * t + 1)) > t
     for k in (2, 3):
         assert all(len(s) < k for s in source_sets(path_graph(2 * k - 2)))
+
+
+def test_extremal_witness_budget(monkeypatch):
+    """A witness path past the budget is refused before it is built."""
+    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 9)
+    monkeypatch.setattr(burning, "path_graph", lambda n: pytest.fail(f"built P{n}")
+                        if n > 9 else path_graph(n))
+    assert extremal_path_report("max-n-for-T", 3).n == 9
+    with pytest.raises(SizeGuardExceeded, match="needs P16, past the witness budget of 9"):
+        extremal_path_report("max-n-for-T", 4)
 
 
 def test_extremal_bad_arguments():

@@ -219,6 +219,24 @@ def test_verify_reports_broken_invariant_as_failure(capsys, monkeypatch, name):
     assert "deliberately broken" in json.dumps(check["details"])
 
 
+def test_listings_read_the_flag_without_a_graph_map(capsys, monkeypatch):
+    """Records, text lines and -hom witnesses read `Burning.is_homomorphism`."""
+    def no_graph_map(*args, **kwargs):
+        raise AssertionError("built a graph map")
+
+    monkeypatch.setattr(burning, "burning_map", no_graph_map)
+    monkeypatch.setattr(burning, "validate_graph_map", no_graph_map)
+    for argv in (["burnings", "sum:3,path:2"],
+                 ["--format", "json", "burnings", "sum:3,path:2"],
+                 ["validate", "path:5", "0,3"],
+                 ["--format", "json", "validate", "path:5", "0,3"],
+                 ["witness", "max-n-for-T-hom", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv
+    code, out, _ = run(capsys, "validate", "path:5", "0,3")
+    assert out.splitlines()[-1] == "burning map is a homomorphism"
+
+
 def test_search_budget_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(burning, "_SEARCH_STATES", 50)
     burning._search.cache_clear()
@@ -261,6 +279,11 @@ def test_refusals_and_checks_hold_under_optimize_flag():
          "sum:2,path:2", "0,2"], env=env, capture_output=True, text=True)
     assert refused.returncode == 2 and not refused.stdout
     assert "ambient graph must be connected" in refused.stderr
+    too_long = subprocess.run(
+        [sys.executable, "-O", "-m", "graphburning", "witness", "max-n-for-T", "1000"],
+        env=env, capture_output=True, text=True)
+    assert too_long.returncode == 2 and not too_long.stdout
+    assert "witness budget of 40,000 vertices" in too_long.stderr
     checked = subprocess.run(
         [sys.executable, "-O", "-m", "graphburning", "verify", "--quiet"],
         env=env, capture_output=True, text=True)
