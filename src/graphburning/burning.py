@@ -66,12 +66,21 @@ class SourceTooEarly(BurningError):
         self.vertex = vertex
 
 
+# An IncompleteBurning message names at most this many unburned vertices.
+_UNBURNED_SHOWN = 10
+
+
 class IncompleteBurning(BurningError):
     """The sequence ends with unburned vertices (U_{k+1} is not the whole graph)."""
 
     def __init__(self, unburned: Sequence[int]):
-        super().__init__(f"vertices {sorted(unburned)} never burn")
         self.unburned = tuple(sorted(unburned))
+        n = len(self.unburned)
+        if n <= _UNBURNED_SHOWN:
+            super().__init__(f"vertices {list(self.unburned)} never burn")
+        else:
+            shown = ", ".join(map(str, self.unburned[:_UNBURNED_SHOWN]))
+            super().__init__(f"vertices [{shown}, ...] never burn ({n:,} in all)")
 
 
 class SourceOutOfRange(BurningError):

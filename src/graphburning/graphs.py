@@ -2,18 +2,18 @@
 
 Vertices are the contiguous integers 0..vertex_count-1.  Edges are stored as a
 frozenset of sorted pairs, so graphs are hashable and safe to share.
+`classify` is the one traversal; the burned region is modelled once, on
+bitmasks, by `burning._expand`.  The literal model of the paper (distances,
+balls N_r[v], their induced unions) lives only in the test oracle
+`tests/filtration.py`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
-
-INF = math.inf
 
 Edge = tuple[int, int]
 
@@ -90,6 +90,8 @@ class Subgraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", frozenset(self.edges))
         vs = set(self.vertices)
         if list(self.vertices) != sorted(vs):
             raise GraphError("subgraph vertices must be sorted and duplicate-free")
@@ -223,70 +225,13 @@ def build_named(family: str, *params: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Distances and neighborhoods
-
-
-@lru_cache(maxsize=8)
-def distances(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """All-pairs shortest hop counts by BFS; unreachable pairs are math.inf."""
-    adj = _adjacency(g)
-    rows = []
-    for s in g.vertices:
-        dist: list[float] = [INF] * g.vertex_count
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return tuple(rows)
-
-
-def closed_neighborhood(g: Graph, v: int, n: int) -> Subgraph:
-    """The induced subgraph on every vertex within distance n of v.
-
-    One BFS from v, stopped after n rings or when a ring comes up empty.
-    """
-    if not 0 <= v < g.vertex_count:
-        raise GraphError(f"vertex {v} out of range")
-    if n < 0:
-        raise GraphError("neighborhood radius must be >= 0")
-    adj = _adjacency(g)
-    ball = {v}
-    ring = {v}
-    for _ in range(n):
-        ring = {w for u in ring for w in adj[u]} - ball
-        if not ring:
-            break
-        ball.update(ring)
-    return induced_subgraph(g, ball)
-
-
-def induced_union(parts: Sequence[Subgraph]) -> Subgraph:
-    """Induced subgraph on the union of the vertex sets of the parts."""
-    if not parts:
-        raise GraphError("induced union of nothing")
-    ambient = parts[0].ambient
-    for p in parts[1:]:
-        if p.ambient != ambient:
-            raise GraphError("induced union requires a single ambient graph")
-    union: set[int] = set()
-    for p in parts:
-        union.update(p.vertices)
-    return induced_subgraph(ambient, union)
+# Structure
 
 
 def complement(g: Graph) -> Graph:
     edges = frozenset(e for e in combinations(range(g.vertex_count), 2)
                       if e not in g.edges)
     return Graph(g.vertex_count, edges)
-
-
-# ---------------------------------------------------------------------------
-# Structure classification
 
 
 @dataclass(frozen=True)

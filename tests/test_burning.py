@@ -37,12 +37,10 @@ from graphburning import (
 from graphburning import burning
 from graphburning.burning import _burnings, _closed_form_witness, _search
 from graphburning.graphs import (
-    INF,
     Graph,
     Subgraph,
     complete_graph,
     cycle_graph,
-    distances,
     iterated_sum,
     path_graph,
     validate_graph_map,
@@ -50,7 +48,7 @@ from graphburning.graphs import (
 )
 
 from conftest import connected_graphs, graphs
-from filtration import filtration
+from filtration import distances, filtration
 from prefix_dfs import _ignite, prefix_burnings
 
 # Two five-vertex graphs burned by the same source pair: on the first the
@@ -77,6 +75,17 @@ def test_incomplete_burning():
     with pytest.raises(IncompleteBurning) as err:
         validate_burning(path_graph(9), (0,))
     assert err.value.unburned == (2, 3, 4, 5, 6, 7, 8)
+    assert str(err.value) == "vertices [2, 3, 4, 5, 6, 7, 8] never burn"
+    # Ten unburned vertices are all named; past ten, the first ten and the
+    # count, while `unburned` keeps them all.
+    with pytest.raises(IncompleteBurning) as err:
+        validate_burning(path_graph(12), (0,))
+    assert str(err.value) == "vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] never burn"
+    with pytest.raises(IncompleteBurning) as err:
+        validate_burning(path_graph(13), (0,))
+    assert err.value.unburned == tuple(range(2, 13))
+    assert str(err.value) == ("vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] "
+                              "never burn (11 in all)")
 
 
 def test_bad_source_sequences():
@@ -89,10 +98,9 @@ def test_bad_source_sequences():
         validate_burning(g, (7,))
 
 
-def _folded(g, seq):
+def _folded(g, dist, seq):
     """validate_burning's outcome by folding `_ignite` over the distances."""
-    dist = distances(g)
-    best = [INF] * g.vertex_count
+    best = [math.inf] * g.vertex_count
     for j, v in enumerate(seq, start=1):
         ignited = _ignite(dist, best, j, v)
         if ignited is None:
@@ -111,6 +119,7 @@ def test_validate_matches_literal_fold(g):
     gives them: every sequence of up to three distinct vertices and the
     sources of every listed burning."""
     sequences = [seq for k in range(1, 4) for seq in permutations(g.vertices, k)]
+    dist = distances(g)
     for seq in sequences + [b.sources for b in enumerate_burnings(g)]:
         try:
             b = validate_burning(g, seq)
@@ -120,7 +129,7 @@ def test_validate_matches_literal_fold(g):
             got = IncompleteBurning, exc.unburned
         else:
             got = b.times, b.end_time
-        assert got == _folded(g, seq), seq
+        assert got == _folded(g, dist, seq), seq
 
 
 @pytest.mark.parametrize("times, sources, message", [
@@ -167,14 +176,14 @@ def test_residual_state_is_distance_to_burned_set(g):
     listed = list(prefix_burnings(g))
     for b in listed[::math.ceil(len(listed) / 150)]:
         states = filtration(g, b.sources)
-        best = [INF] * g.vertex_count
+        best = [math.inf] * g.vertex_count
         for j in range(1, len(b.sources) + 2):
             if j > 1:
                 best = _ignite(dist, best, j - 1, b.sources[j - 2])
             burned = set(states[j - 2].burned_now) if j > 1 else set()
             u = [max(t - j + 1, 0) for t in best]
             assert u == [
-                0 if w in burned else min((dist[w][x] for x in burned), default=INF)
+                0 if w in burned else min((dist[w][x] for x in burned), default=math.inf)
                 for w in g.vertices], (b.sources, j)
             if j > 1:
                 assert states[j - 1].burned_before_source == tuple(

@@ -93,6 +93,22 @@ def test_one_based_errors_name_the_given_labels(capsys):
     assert out == "invalid: source 1 at step 2 is already burned (lies in U_2)\n"
 
 
+def test_long_incomplete_message_names_the_first_ten(capsys):
+    """More than ten unburned vertices: the first ten and the count, in text,
+    in JSON and under --one-based."""
+    reason = "vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] never burn (1,998 in all)"
+    code, out, _ = run(capsys, "validate", "path:2000", "0")
+    assert (code, out) == (1, f"invalid: {reason}\n")
+    code, out, _ = run(capsys, "--format", "json", "validate", "path:2000", "0")
+    assert code == 1 and json.loads(out)["reason"] == reason
+    one_based = "vertices [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] never burn (1,998 in all)"
+    code, out, _ = run(capsys, "--one-based", "validate", "path:2000", "1")
+    assert (code, out) == (1, f"invalid: {one_based}\n")
+    code, out, _ = run(capsys, "--one-based", "--format", "json", "validate",
+                       "path:2000", "1")
+    assert code == 1 and json.loads(out)["reason"] == one_based
+
+
 def test_complex_command_round_trip(capsys):
     code, out, _ = run(capsys, "--format", "json", "complex", "path:5")
     record = json.loads(out)

@@ -8,9 +8,9 @@ from graphburning import (
     Graph,
     GraphError,
     GraphMapError,
+    Subgraph,
     build_named,
     classify,
-    closed_neighborhood,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -18,10 +18,8 @@ from graphburning import (
     cube_graph,
     cycle_graph,
     disjoint_union,
-    distances,
     identity_map,
     induced_subgraph,
-    induced_union,
     iterated_sum,
     parse_graph_text,
     path_graph,
@@ -31,6 +29,7 @@ from graphburning import (
 from graphburning.graphs import _adjacency, components, format_graph_text
 
 from conftest import graphs
+from filtration import FiltrationState, distances, filtration
 
 
 def test_builder_shapes():
@@ -66,19 +65,6 @@ def test_edge_normalization():
     g = Graph.from_edges(3, [(2, 0), (1, 0)])
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert g.sorted_edges() == [(0, 1), (0, 2)]
-
-
-@given(graphs())
-def test_distances_against_floyd_warshall(g):
-    n = g.vertex_count
-    d = [[0 if i == j else (1 if g.has_edge(i, j) else math.inf)
-          for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if d[i][k] + d[k][j] < d[i][j]:
-                    d[i][j] = d[i][k] + d[k][j]
-    assert [list(row) for row in distances(g)] == d
 
 
 @given(graphs())
@@ -123,16 +109,14 @@ def test_iterated_sum():
 def test_graph_caches_are_bounded_and_reused():
     # A long run sees many graphs; the caches keep only the last few, and a
     # graph asked for again while it is still held is not recomputed.
-    caches = (distances, _adjacency, path_graph)
+    caches = (_adjacency, path_graph)
     for cache in caches:
         cache.cache_clear()
     for n in range(1, 21):
         g = cycle_graph(n + 2)
-        distances(g)
         g.neighbors(0)
         path_graph(n)
     hits = [cache.cache_info().hits for cache in caches]
-    distances(g)
     assert g.neighbors(0) == (1, n + 1)
     assert path_graph(n) is path_graph(n)
     for cache, before in zip(caches, hits):
@@ -141,27 +125,21 @@ def test_graph_caches_are_bounded_and_reused():
         assert info.currsize < 20
 
 
-def test_closed_neighborhood_is_distance_ball():
+def test_filtration_is_union_of_distance_balls():
+    """The literal oracle on P7, worked by hand: N_r[v] = {w : d(v, w) <= r}
+    and the region burned by step j is the union of the N_{j-i}[v_i]."""
     g = path_graph(7)
-    assert closed_neighborhood(g, 3, 0).vertices == (3,)
-    assert closed_neighborhood(g, 3, 2).vertices == (1, 2, 3, 4, 5)
-    assert closed_neighborhood(g, 0, 10).vertices == tuple(range(7))
-    with pytest.raises(GraphError, match="out of range"):
-        closed_neighborhood(g, 7, 1)
-    with pytest.raises(GraphError, match="radius"):
-        closed_neighborhood(g, 0, -1)
-
-
-@given(graphs())
-def test_closed_neighborhood_matches_distance_rows(g):
-    """The cut-off BFS reads the same ball as the all-pairs distances,
-    disconnected graphs and radii past the diameter included."""
-    dist = distances(g)
-    diameter = max(d for row in dist for d in row if d != math.inf)
-    for v in g.vertices:
-        for n in range(int(diameter) + 2):
-            want = induced_subgraph(g, (w for w in g.vertices if dist[v][w] <= n))
-            assert closed_neighborhood(g, v, n) == want
+    assert distances(g)[3] == [3, 2, 1, 0, 1, 2, 3]
+    assert distances(disjoint_union(path_graph(2), path_graph(1))) == [
+        [0, 1, math.inf], [1, 0, math.inf], [math.inf, math.inf, 0]]
+    assert filtration(g, (3,)) == [
+        FiltrationState(1, (3,), None),
+        FiltrationState(2, (2, 3, 4), (2, 3, 4))]
+    # (0, 4) is no burning of P7, vertex 6 never burns; the oracle judges nothing.
+    assert filtration(g, (0, 4)) == [
+        FiltrationState(1, (0,), None),
+        FiltrationState(2, (0, 1, 4), (0, 1)),
+        FiltrationState(3, (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5))]
 
 
 def test_induced_subgraph_and_union():
@@ -169,13 +147,28 @@ def test_induced_subgraph_and_union():
     h = induced_subgraph(g, [0, 1, 3])
     assert h.edges == frozenset({(0, 1)})
     assert h.is_induced()
-    u = induced_union([induced_subgraph(g, [0, 1]), induced_subgraph(g, [2])])
+    # An induced union is the induced subgraph on the union of the vertex sets.
+    a, b = induced_subgraph(g, [0, 1]), induced_subgraph(g, [2])
+    u = induced_subgraph(g, {*a.vertices, *b.vertices})
     assert u.vertices == (0, 1, 2)
     assert u.edges == frozenset({(0, 1), (1, 2)})
+    assert u.contains(a) and u.contains(b)
     assert whole_graph(g).contains(h)
     local, labels = h.as_graph()
     assert labels == (0, 1, 3)
     assert local.sorted_edges() == [(0, 1)]
+
+
+def test_subgraph_from_a_list_or_set():
+    """Vertices and edges given as a list or set are stored as a tuple and a
+    frozenset, so the subgraph hashes and compares like the canonical one."""
+    g = path_graph(4)
+    want = Subgraph(g, (0, 1), frozenset({(0, 1)}))
+    for vertices, edges in [([0, 1], [(0, 1)]), ({0, 1}, {(0, 1)}), ((0, 1), [(0, 1)])]:
+        h = Subgraph(g, vertices, edges)
+        assert h == want and hash(h) == hash(want)
+        assert whole_graph(g).contains(h)
+    assert len({want, Subgraph(g, [0, 1], [(0, 1)])}) == 1
 
 
 def test_graph_map_validation():
