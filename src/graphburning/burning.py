@@ -10,16 +10,18 @@ Validation, the search and the listing share one burn step, `_expand`, on
 bitmasks and with no all-pairs distances.  Before step j the state is the
 bitmask S of the region N_{j-1} burned by step j - 1, since the sources so
 far burn any other w at step j - 1 + d(w, S).  So U_j = N[S], N[S] - S burns
-at step j, and an admissible v (one off N[S]) moves S to N[S] | {v}.  One
-search memoised on S gives the source sets, the burning number and the
-number of burnings (`burning_count`); a lazy walk over the same states
-yields the ordered burnings from an optional source prefix, one at a time
-(`iter_burnings`, which counts first and so refuses an oversized listing
-before it yields anything).  A burning reads its homomorphism flag off its
+at step j, and an admissible v (one off N[S]) moves S to N[S] | {v}.  The
+region N[S] thus fixes everything after step j - 1; S matters only at the
+end, for whether the last step burned anything.  One search memoised on
+N[S] gives the source sets, the burning number and the number of burnings
+(`burning_count`); a lazy walk memoised the same way yields the ordered
+burnings from an optional source prefix, one at a time (`iter_burnings`,
+which counts first and so refuses an oversized listing before it yields
+anything).  A burning reads its homomorphism flag off its
 time function (`Burning.is_homomorphism`: no edge inside one time class),
 with no graph map built; `burning_map` certifies the map itself.  Every
 exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (residual states, listed burnings, subgraph candidates), not of size,
+work (burned regions, listed burnings, subgraph candidates), not of size,
 and an extremal-path witness past a constant path length is refused.
 
 A connected subgraph holding the sources burns compatibly with a burning b
@@ -223,9 +225,10 @@ def burning_map(b: Burning) -> GraphMap:
 # minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
 _LISTED_BURNINGS = 100_000
 
-# The searches give up past this many residual states rather than run for
-# minutes: P20 enters 13,180, P24 61,324 (about 2 s) and P30 far more.
-_SEARCH_STATES = 100_000
+# The searches give up past this many burned regions N[S] rather than run
+# for minutes: P20 enters 2,631, P25 14,698 (about 1.7 s), while P26 needs
+# 20,606 and C26 18,188.
+_SEARCH_STATES = 16_000
 
 
 def _too_many_states(g: Graph) -> SizeGuardExceeded:
@@ -237,17 +240,20 @@ def _too_many_states(g: Graph) -> SizeGuardExceeded:
 def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
     """Every burning of g that begins with the given sources, lexicographic.
 
-    Depth-first, lazily, over the burned-set states S of `_search`, each
-    expanded once by `_expand`; below the start only the next start source
-    is followed, so an inadmissible start yields nothing.  Times are written
-    along a burning's path and read at its leaf, whose end time is its step
-    if N[S] != S, else the step before (a leaf has no admissible source, so
-    no burning sequence is a proper prefix of another).  Past `_SEARCH_STATES`
-    states or `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
+    Depth-first, lazily, over the burned regions N[S] of `_search`, each
+    expanded once: its entry lists, per admissible v, the child state
+    S' = N[S] | {v}, N[S'] and the vertices N[S'] - S' that burn a step
+    later.  So a node writes the times of its children and yields a leaf
+    (N[S'] the whole graph) in place; its end time is the child's step if
+    N[S'] != S', else the step before (a leaf has no admissible source, so
+    no burning sequence is a proper prefix of another).  Below the start
+    only the next start source is followed, so an inadmissible start yields
+    nothing.  Past `_SEARCH_STATES` regions or `_LISTED_BURNINGS` burnings it
+    raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
-    memo: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    memo: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
     times = [0] * g.vertex_count
     prefix: list[int] = []
     listed = 0
@@ -256,29 +262,32 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
         nonlocal listed
         depth = len(prefix)
         step = depth + 1
-        found = memo.get(s)
-        if found is None:
+        children = memo.get(ns)
+        if children is None:
             if len(memo) >= _SEARCH_STATES:
                 raise _too_many_states(g)
-            admissible, ones, nns = _expand(nbhd, whole, s, ns)
-            found = memo[s] = (_vertices(admissible), _vertices(ones), nns)
-        admissible, ones, nns = found
-        for w in ones:
-            times[w] = step
+            free, _, nns = _expand(nbhd, whole, s, ns)
+            children = memo[ns] = []
+            for v in _vertices(free):
+                child, near = ns | 1 << v, nns | nbhd[v]
+                children.append((v, child, near, _vertices(near & ~child)))
         if depth < len(start):
-            admissible = [v for v in admissible if v == start[depth]]
-        elif not admissible:
-            listed += 1
-            if listed > _LISTED_BURNINGS:
-                raise SizeGuardExceeded(
-                    f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
-                    f"on a graph with {g.vertex_count} vertices")
-            yield Burning(g, tuple(prefix), tuple(times), step if ones else step - 1)
-            return
-        for v in admissible:
+            children = [c for c in children if c[0] == start[depth]]
+        closes = depth + 1 >= len(start)
+        for v, child, near, ones in children:
             times[v] = step
+            for w in ones:
+                times[w] = step + 1
             prefix.append(v)
-            yield from walk(ns | 1 << v, nns | nbhd[v])
+            if near != whole:
+                yield from walk(child, near)
+            elif closes:
+                listed += 1
+                if listed > _LISTED_BURNINGS:
+                    raise SizeGuardExceeded(
+                        f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
+                        f"on a graph with {g.vertex_count} vertices")
+                yield Burning(g, tuple(prefix), tuple(times), step + 1 if ones else step)
             prefix.pop()
 
     return walk(0, 0)
@@ -313,27 +322,32 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
     the number of burnings.
 
     Depth-first over the residual states: before step j, the bitmask S of
-    the region burned by step j - 1.  Each state takes the step `_expand`;
-    one with no admissible source closes a burning, with end offset 0 if
-    some vertex burns at its step and -1 otherwise.  Each state is searched
-    once and maps to the source sets of its completions, their least end
-    offset and their number: 1 at a leaf, else the sum over its children.
-    Past `_SEARCH_STATES` states entered it raises `SizeGuardExceeded`.
+    the region burned by step j - 1.  Each state takes the step `_expand`.
+    The region N[S] fixes the admissible sources and every later state, so
+    it keys the memo: each region is searched once and maps to the source
+    sets of its completions, their least end offset and their number, the
+    sum over its children.  A state with N[S] the whole graph closes a
+    burning and is not stored: its end offset is 0 if some vertex burns at
+    its step (S is not the whole graph) and -1 otherwise.  Past
+    `_SEARCH_STATES` regions entered it raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, tuple[set[int], int, int]] = {}
+    closed, closed_early = ({0}, 0, 1), ({0}, -1, 1)
     entered = 0
 
     def visit(s: int, ns: int) -> tuple[set[int], int, int]:
         nonlocal entered
-        found = memo.get(s)
+        if ns == whole:
+            return closed if s != whole else closed_early
+        found = memo.get(ns)
         if found is not None:
             return found
         entered += 1
         if entered > _SEARCH_STATES:
             raise _too_many_states(g)
-        free, ones, nns = _expand(nbhd, whole, s, ns)
+        free, _, nns = _expand(nbhd, whole, s, ns)
         sets: set[int] = set()
         least = g.vertex_count  # past any end offset: each step burns a vertex
         count = 0
@@ -346,7 +360,7 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
             if child_least < least:
                 least = child_least
             count += child_count
-        found = memo[s] = (sets, least + 1, count) if sets else ({0}, 0 if ones else -1, 1)
+        found = memo[ns] = (sets, least + 1, count)
         return found
 
     masks, least, count = visit(0, 0)

@@ -62,8 +62,6 @@ def load_graph(spec: str) -> Graph:
             return build_named(head, *params)
         except GraphError as exc:
             raise UsageError(str(exc)) from None
-        except TypeError as exc:
-            raise UsageError(f"bad parameters for {head!r}: {exc}") from None
     try:
         return parse_graph_text(spec)
     except GraphError as exc:
@@ -308,7 +306,14 @@ def main(argv: list[str] | None = None) -> int:
     args.format = getattr(args, "format", "text")
     args.one_based = getattr(args, "one_based", False)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (`graphburn burnings ... | head`): end quietly, with
+        # stdout on devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from inspect import signature
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -214,13 +215,22 @@ _FAMILIES: dict[str, Callable[..., Graph]] = {
 
 
 def build_named(family: str, *params: int) -> Graph:
-    """Build a canonical member of a named family, e.g. build_named("path", 5)."""
+    """Build a canonical member of a named family, e.g. build_named("path", 5).
+
+    The wrong number of parameters raises `GraphError` naming the family's
+    builder expression, e.g. `bipartite:<n>,<m>`.
+    """
     if family == "iterated_sum":
         raise GraphError("use iterated_sum(k, g) directly")
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown graph family {family!r}") from None
+    names = list(signature(builder).parameters)
+    if len(params) != len(names):
+        form = f"{family}:" + ",".join(f"<{name}>" for name in names) if names else family
+        raise GraphError(f"bad parameters for {family!r}: expected {form}, "
+                         f"got {len(params)} parameter{'s' * (len(params) != 1)}")
     return builder(*params)
 
 

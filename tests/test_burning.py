@@ -40,7 +40,9 @@ from graphburning.graphs import (
     Graph,
     Subgraph,
     complete_graph,
+    cube_graph,
     cycle_graph,
+    edgeless_graph,
     iterated_sum,
     path_graph,
     validate_graph_map,
@@ -50,6 +52,7 @@ from graphburning.graphs import (
 from conftest import connected_graphs, graphs
 from filtration import distances, filtration
 from prefix_dfs import _ignite, prefix_burnings
+from state_search import burned_regions, search_on_burned_sets
 
 # Two five-vertex graphs burned by the same source pair: on the first the
 # burning map preserves every edge, on the second one edge collapses.
@@ -165,8 +168,8 @@ def test_residual_state_is_distance_to_burned_set(g):
     """Before step j, u_j = max(best - j + 1, 0) is d(w, S) off S and 0 on S,
     where S = N_{j-1} is the region burned by step j - 1, and the region U_j
     burned at step j before v_j ignites is N[S] = {u_j <= 1}.  So S alone
-    keys the searches' residual states, and v_j is admissible iff it is off
-    N[S].
+    fixes the residual state, v_j is admissible iff it is off N[S], and
+    N[S], which keys the searches' memos, fixes every later step.
 
     best is folded through `_ignite`; S and U_j are the filtration's literal
     induced unions.  Every prefix of every burning is checked, the full one
@@ -276,10 +279,11 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(burning, "_burnings", must_not_list)
     with pytest.raises(SizeGuardExceeded, match="has 645,120 burnings"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
-    # The count comes from the search and its state budget: 7xP2 has 897 states.
+    # The count comes from the search and its state budget: 7xP2 has 127
+    # burned regions.
     _search.cache_clear()
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
-    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 126)
+    with pytest.raises(SizeGuardExceeded, match="126 residual states"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
 
 
@@ -329,6 +333,53 @@ def test_sums_of_edges():
         assert burning_number(g) == k + 1
 
 
+def _search_oracle_cases():
+    rng = random.Random(22)
+    pairs = {n: list(combinations(range(n), 2)) for n in range(1, 10)}
+    corpus = []
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        corpus.append(Graph.from_edges(n, rng.sample(pairs[n], rng.randint(0, len(pairs[n])))))
+    return corpus
+
+
+def test_search_matches_burned_set_oracle():
+    """Keyed on N[S], the search gives what the S-keyed search gives: source
+    sets, least end time and count, on the families and 400 seeded random
+    graphs with 1-9 vertices, disconnected ones included."""
+    families = ([path_graph(n) for n in range(1, 21)] + [cycle_graph(n) for n in range(3, 21)]
+                + [iterated_sum(k, path_graph(2)) for k in range(1, 8)] + [cube_graph()])
+    corpus = _search_oracle_cases()
+    assert sum(not classify(g).connected for g in corpus) > 50
+    for g in families + corpus:
+        masks, least, count, _ = search_on_burned_sets(g)
+        assert _search(g) == (masks, least, count), g
+    # The S-keyed search enters five times as many states on P20.
+    assert search_on_burned_sets(path_graph(20))[3] == 13_180
+    assert burned_regions(path_graph(20)) == 2_631
+
+
+def test_listing_matches_prefix_dfs_from_starts():
+    """The walk, from every one-vertex start and a sample of two-vertex ones,
+    and the first extension it finds, against the prefix DFS."""
+    rng = random.Random(23)
+    for g in _search_oracle_cases()[:60]:
+        if g.vertex_count > 7:
+            continue
+        assert _listed(_burnings(g)) == _listed(prefix_burnings(g))
+        starts = [(v,) for v in g.vertices] + [
+            tuple(rng.sample(range(g.vertex_count), 2))
+            for _ in range(3) if g.vertex_count > 1]
+        for start in starts:
+            expected = list(prefix_burnings(g, start))
+            assert _listed(_burnings(g, start)) == _listed(expected), (g, start)
+            h = edgeless_graph(len(start))
+            embed = validate_graph_map(start, h, g)
+            b_h = validate_burning(h, tuple(h.vertices))
+            first = first_extension_in_listing(b_h, embed, expected)
+            assert admits_extension(b_h, embed, g) == first, (g, start)
+
+
 def test_enumeration_cache_is_bounded_and_reused():
     # Asked for its burning number and then its configuration space, a graph
     # is searched once and then found in the cache.
@@ -362,22 +413,40 @@ def test_search_state_budget(monkeypatch):
         configuration_space(g)
     # The failed search left no cache entry, so it runs again once allowed.
     assert _search.cache_info().currsize == 0
-    # The budget counts the states entered: 7xP2 has 897, so 896 is too few.
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
-    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
+    # The budget counts the burned regions N[S] entered: 7xP2 has 127 (one
+    # per set of ignited edges but all of them), so 126 is too few.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 126)
+    with pytest.raises(SizeGuardExceeded, match="126 residual states"):
         burning_number(iterated_sum(7, path_graph(2)))
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 897)
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 127)
     assert burning_number(iterated_sum(7, path_graph(2))) == 8
-    # P20 enters exactly 13,180 states.
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_179)
-    with pytest.raises(SizeGuardExceeded, match="13,179 residual states"):
+    # P20 enters exactly 2,631 regions.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 2_630)
+    with pytest.raises(SizeGuardExceeded, match="2,630 residual states"):
         burning_number(path_graph(20))
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_180)
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 2_631)
     assert burning_number(path_graph(20)) == 5
     _search.cache_clear()
     monkeypatch.undo()
     assert burning_number(g) == 3
     assert _search.cache_info().currsize == 1
+
+
+def test_search_budget_reach():
+    """The budget admits P25 and C25 and refuses P26 and C26.
+
+    The regions are counted by the oracle's plain traversal, which matches
+    the search's own count on P20 and 7xP2 (`test_search_state_budget`).
+    The edgeless graphs, whose searches hold one source set per region, run
+    at the real budget: E13 has 8,191 regions and E14 16,383.
+    """
+    p20, p25, c25, c26, p26 = (burned_regions(g) for g in (
+        path_graph(20), path_graph(25), cycle_graph(25), cycle_graph(26), path_graph(26)))
+    assert (p20, p25, c25, c26, p26) == (2_631, 14_698, 12_901, 18_188, 20_606)
+    assert max(p25, c25) <= burning._SEARCH_STATES < min(c26, p26)
+    assert burning_count(edgeless_graph(13)) == math.factorial(13)
+    with pytest.raises(SizeGuardExceeded, match="16,000 residual states"):
+        burning_number(edgeless_graph(14))
 
 
 def test_listing_budget(monkeypatch):

@@ -311,8 +311,35 @@ def test_refusals_and_checks_hold_under_optimize_flag():
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "burning-number", "cycle:2")
     assert code == 2 and "cycle" in err
+    # A builder given too few or too many parameters names its expression.
+    code, out, err = run(capsys, "complex", "bipartite:2")
+    assert (code, out) == (2, "")
+    assert err == "error: bad parameters for 'bipartite': expected bipartite:<n>,<m>, got 1 parameter\n"
+    code, out, err = run(capsys, "complex", "path:3,4")
+    assert (code, out) == (2, "")
+    assert err == "error: bad parameters for 'path': expected path:<n>, got 2 parameters\n"
     code, _, err = run(capsys, "validate", "path:3", "0,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_ends_the_listing_quietly(fmt):
+    """A reader that leaves early (`| head -c 100`) ends the stream: no
+    traceback, a non-zero exit.  E8 has 40,320 burnings, far past a pipe's
+    buffer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphburning", "burnings", "edgeless:8", "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
 
 
 def test_determinism(capsys):

@@ -59,6 +59,10 @@ def test_build_named_families():
     assert build_named("path", 4) == path_graph(4)
     assert build_named("bipartite", 2, 3) == complete_bipartite_graph(2, 3)
     assert build_named("cube") == cube_graph()
+    with pytest.raises(GraphError, match=r"expected bipartite:<n>,<m>, got 1 parameter$"):
+        build_named("bipartite", 2)
+    with pytest.raises(GraphError, match=r"expected cube, got 1 parameter$"):
+        build_named("cube", 3)
 
 
 def test_edge_normalization():
