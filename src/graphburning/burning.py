@@ -21,7 +21,7 @@ anything).  A burning reads its homomorphism flag off its
 time function (`Burning.is_homomorphism`: no edge inside one time class),
 with no graph map built; `burning_map` certifies the map itself.  Every
 exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (burned regions, listed burnings, subgraph candidates), not of size,
+work (residual states, listed burnings, subgraph candidates), not of size,
 and an extremal-path witness past a constant path length is refused.
 
 A connected subgraph holding the sources burns compatibly with a burning b
@@ -225,10 +225,12 @@ def burning_map(b: Burning) -> GraphMap:
 # minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
 _LISTED_BURNINGS = 100_000
 
-# The searches give up past this many burned regions N[S] rather than run
-# for minutes: P20 enters 2,631, P25 14,698 (about 1.7 s), while P26 needs
-# 20,606 and C26 18,188.
-_SEARCH_STATES = 16_000
+# The searches give up past this many distinct states S rather than run for
+# minutes: P20 meets 13,180, P25 89,118 and E16 2^16 (each answered in under
+# 2 s), while C26 needs 105,159, P26 129,099 and E17 2^17.  They count the
+# states, not the regions N[S] that key the memos: an edgeless graph has one
+# state per region, a path five or six, so regions alone misjudge the work.
+_SEARCH_STATES = 100_000
 
 
 def _too_many_states(g: Graph) -> SizeGuardExceeded:
@@ -248,12 +250,13 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
     N[S'] != S', else the step before (a leaf has no admissible source, so
     no burning sequence is a proper prefix of another).  Below the start
     only the next start source is followed, so an inadmissible start yields
-    nothing.  Past `_SEARCH_STATES` regions or `_LISTED_BURNINGS` burnings it
-    raises `SizeGuardExceeded`.
+    nothing.  Past `_SEARCH_STATES` distinct states S followed or
+    `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
+    states = {0}
     times = [0] * g.vertex_count
     prefix: list[int] = []
     listed = 0
@@ -264,8 +267,6 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
         step = depth + 1
         children = memo.get(ns)
         if children is None:
-            if len(memo) >= _SEARCH_STATES:
-                raise _too_many_states(g)
             free, _, nns = _expand(nbhd, whole, s, ns)
             children = memo[ns] = []
             for v in _vertices(free):
@@ -275,6 +276,9 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
             children = [c for c in children if c[0] == start[depth]]
         closes = depth + 1 >= len(start)
         for v, child, near, ones in children:
+            states.add(child)
+            if len(states) > _SEARCH_STATES:
+                raise _too_many_states(g)
             times[v] = step
             for w in ones:
                 times[w] = step + 1
@@ -329,24 +333,21 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
     sum over its children.  A state with N[S] the whole graph closes a
     burning and is not stored: its end offset is 0 if some vertex burns at
     its step (S is not the whole graph) and -1 otherwise.  Past
-    `_SEARCH_STATES` regions entered it raises `SizeGuardExceeded`.
+    `_SEARCH_STATES` distinct states S met (one per child of a searched
+    region, and the start) it raises `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, tuple[set[int], int, int]] = {}
+    states = {0}
     closed, closed_early = ({0}, 0, 1), ({0}, -1, 1)
-    entered = 0
 
     def visit(s: int, ns: int) -> tuple[set[int], int, int]:
-        nonlocal entered
         if ns == whole:
             return closed if s != whole else closed_early
         found = memo.get(ns)
         if found is not None:
             return found
-        entered += 1
-        if entered > _SEARCH_STATES:
-            raise _too_many_states(g)
         free, _, nns = _expand(nbhd, whole, s, ns)
         sets: set[int] = set()
         least = g.vertex_count  # past any end offset: each step burns a vertex
@@ -354,12 +355,16 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
         while free:
             bit = free & -free
             free ^= bit
+            child = ns | bit
+            states.add(child)
             child_sets, child_least, child_count = visit(
-                ns | bit, nns | nbhd[bit.bit_length() - 1])
+                child, nns | nbhd[bit.bit_length() - 1])
             sets |= {m | bit for m in child_sets}
             if child_least < least:
                 least = child_least
             count += child_count
+        if len(states) > _SEARCH_STATES:
+            raise _too_many_states(g)
         found = memo[ns] = (sets, least + 1, count)
         return found
 

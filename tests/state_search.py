@@ -45,19 +45,19 @@ def search_on_burned_sets(g: Graph) -> tuple[frozenset[int], int, int, int]:
     return frozenset(masks), least + 1, count, len(memo)
 
 
-def burned_regions(g: Graph) -> int:
-    """The number of regions N[S] short of the whole graph that the burning
-    search meets, found by a plain traversal that keeps no source sets: the
-    unit of the search's state budget."""
+def burned_states(g: Graph) -> int:
+    """The number of states S that the burning search meets, the unit of its
+    budget, found by a plain traversal over the states that keeps no source
+    sets."""
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     seen: set[int] = set()
     stack = [(0, 0)]
     while stack:
         s, ns = stack.pop()
-        if ns == whole or ns in seen:
+        if s in seen:
             continue
-        seen.add(ns)
+        seen.add(s)
         free, _, nns = _expand(nbhd, whole, s, ns)
         while free:
             bit = free & -free

@@ -52,7 +52,7 @@ from graphburning.graphs import (
 from conftest import connected_graphs, graphs
 from filtration import distances, filtration
 from prefix_dfs import _ignite, prefix_burnings
-from state_search import burned_regions, search_on_burned_sets
+from state_search import burned_states, search_on_burned_sets
 
 # Two five-vertex graphs burned by the same source pair: on the first the
 # burning map preserves every edge, on the second one edge collapses.
@@ -279,11 +279,10 @@ def test_oversized_listing_is_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(burning, "_burnings", must_not_list)
     with pytest.raises(SizeGuardExceeded, match="has 645,120 burnings"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
-    # The count comes from the search and its state budget: 7xP2 has 127
-    # burned regions.
+    # The count comes from the search and its state budget: 7xP2 has 897 states.
     _search.cache_clear()
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 126)
-    with pytest.raises(SizeGuardExceeded, match="126 residual states"):
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
+    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
         enumerate_burnings(iterated_sum(7, path_graph(2)))
 
 
@@ -354,9 +353,8 @@ def test_search_matches_burned_set_oracle():
     for g in families + corpus:
         masks, least, count, _ = search_on_burned_sets(g)
         assert _search(g) == (masks, least, count), g
-    # The S-keyed search enters five times as many states on P20.
-    assert search_on_burned_sets(path_graph(20))[3] == 13_180
-    assert burned_regions(path_graph(20)) == 2_631
+    # The S-keyed search and the plain traversal meet the same states.
+    assert search_on_burned_sets(path_graph(20))[3] == burned_states(path_graph(20)) == 13_180
 
 
 def test_listing_matches_prefix_dfs_from_starts():
@@ -413,18 +411,17 @@ def test_search_state_budget(monkeypatch):
         configuration_space(g)
     # The failed search left no cache entry, so it runs again once allowed.
     assert _search.cache_info().currsize == 0
-    # The budget counts the burned regions N[S] entered: 7xP2 has 127 (one
-    # per set of ignited edges but all of them), so 126 is too few.
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 126)
-    with pytest.raises(SizeGuardExceeded, match="126 residual states"):
+    # The budget counts the states entered: 7xP2 has 897, so 896 is too few.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 896)
+    with pytest.raises(SizeGuardExceeded, match="896 residual states"):
         burning_number(iterated_sum(7, path_graph(2)))
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 127)
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 897)
     assert burning_number(iterated_sum(7, path_graph(2))) == 8
-    # P20 enters exactly 2,631 regions.
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 2_630)
-    with pytest.raises(SizeGuardExceeded, match="2,630 residual states"):
+    # P20 enters exactly 13,180 states.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_179)
+    with pytest.raises(SizeGuardExceeded, match="13,179 residual states"):
         burning_number(path_graph(20))
-    monkeypatch.setattr(burning, "_SEARCH_STATES", 2_631)
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 13_180)
     assert burning_number(path_graph(20)) == 5
     _search.cache_clear()
     monkeypatch.undo()
@@ -432,21 +429,33 @@ def test_search_state_budget(monkeypatch):
     assert _search.cache_info().currsize == 1
 
 
-def test_search_budget_reach():
-    """The budget admits P25 and C25 and refuses P26 and C26.
+def test_walk_state_budget(monkeypatch):
+    """The listing walk counts the states S it follows, the start included:
+    all 472 of P12 in full, as the search meets, and 60 below the start (3,)."""
+    g = path_graph(12)
+    assert burned_states(g) == 472
+    for start, states in (((), 472), ((3,), 60)):
+        monkeypatch.setattr(burning, "_SEARCH_STATES", states - 1)
+        with pytest.raises(SizeGuardExceeded, match=f"{states - 1} residual states"):
+            list(_burnings(g, start))
+        monkeypatch.setattr(burning, "_SEARCH_STATES", states)
+        assert _listed(_burnings(g, start)) == _listed(prefix_burnings(g, start))
 
-    The regions are counted by the oracle's plain traversal, which matches
-    the search's own count on P20 and 7xP2 (`test_search_state_budget`).
-    The edgeless graphs, whose searches hold one source set per region, run
-    at the real budget: E13 has 8,191 regions and E14 16,383.
+
+def test_search_budget_reach():
+    """The budget admits P25, C25 and E16 and refuses P26, C26 and E17.
+
+    The states are counted by the oracle's plain traversal, which matches
+    the search's own count on P20 and 7xP2 (`test_search_state_budget`); an
+    edgeless graph E_n meets all 2^n.  E16, with one region per state, runs
+    at the real budget.
     """
-    p20, p25, c25, c26, p26 = (burned_regions(g) for g in (
+    p20, p25, c25, c26, p26 = (burned_states(g) for g in (
         path_graph(20), path_graph(25), cycle_graph(25), cycle_graph(26), path_graph(26)))
-    assert (p20, p25, c25, c26, p26) == (2_631, 14_698, 12_901, 18_188, 20_606)
-    assert max(p25, c25) <= burning._SEARCH_STATES < min(c26, p26)
-    assert burning_count(edgeless_graph(13)) == math.factorial(13)
-    with pytest.raises(SizeGuardExceeded, match="16,000 residual states"):
-        burning_number(edgeless_graph(14))
+    assert (p20, p25, c25, c26, p26) == (13_180, 89_118, 72_552, 105_159, 129_099)
+    assert max(p25, c25, 2 ** 16) <= burning._SEARCH_STATES < min(c26, p26, 2 ** 17)
+    assert burned_states(edgeless_graph(10)) == 2 ** 10
+    assert burning_count(edgeless_graph(16)) == math.factorial(16)
 
 
 def test_listing_budget(monkeypatch):
