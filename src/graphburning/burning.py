@@ -583,40 +583,29 @@ class ExtremalPathReport:
     burning: Burning
 
 
+# Each extremal kind: the path length n at parameter p, and the 1-based
+# source positions suggested by the closed-form analysis.
+_EXTREMAL_N = {
+    # Source j sits at p^2 - r^2 + r with radius r = p + 1 - j.
+    "max-n-for-T": (
+        lambda p: p * p,
+        lambda p: [p * p - r * r + r for r in range(p, 0, -1)]),
+    # p - 1 sources (one for p = 1), the gap before source j being 2(p - j) + 1.
+    "max-n-for-T-hom": (
+        lambda p: p * p - p + 1,
+        lambda p: [p + (j - 1) * (2 * p - j - 1) for j in range(1, max(p, 2))]),
+    # Disjoint radius-(p + 1 - j) neighbourhoods tile the path, largest first.
+    "max-n-for-k": (
+        lambda p: p * p + 2 * p,
+        lambda p: [(j - 1) * (2 * p + 3 - j) + p + 2 - j for j in range(1, p + 1)]),
+    "min-n-for-k": (lambda p: 2 * p - 1, lambda p: [2 * i - 1 for i in range(1, p + 1)]),
+    "min-n-for-k-hom": (lambda p: 3 * p - 2, lambda p: [3 * i - 2 for i in range(1, p + 1)]),
+}
+
+
 def _closed_form_witness(kind: str, p: int) -> tuple[int, ...]:
     """The 1-based source positions suggested by the closed-form analysis."""
-    if kind == "max-n-for-T":
-        # Source j sits at p^2 - r^2 + r with radius r = p + 1 - j.
-        return tuple(p * p - r * r + r for r in range(p, 0, -1))
-    if kind == "max-n-for-T-hom":
-        # p - 1 sources (one for p = 1): s_j = s_{j-1} + 2(p - j) + 1.
-        out = [p]
-        for j in range(2, p):
-            out.append(out[-1] + 2 * (p - j) + 1)
-        return tuple(out)
-    if kind == "max-n-for-k":
-        # Tile the path with disjoint radius-(k+1-j) neighborhoods, largest first.
-        out = []
-        offset = 0
-        for j in range(1, p + 1):
-            radius = p + 1 - j
-            out.append(offset + radius + 1)
-            offset += 2 * radius + 1
-        return tuple(out)
-    if kind == "min-n-for-k":
-        return tuple(2 * i - 1 for i in range(1, p + 1))
-    if kind == "min-n-for-k-hom":
-        return tuple(3 * i - 2 for i in range(1, p + 1))
-    raise ValueError(f"unknown extremal kind {kind!r}")
-
-
-_EXTREMAL_N = {
-    "max-n-for-T": lambda p: p * p,
-    "max-n-for-T-hom": lambda p: p * p - p + 1,
-    "max-n-for-k": lambda p: p * p + 2 * p,
-    "min-n-for-k": lambda p: 2 * p - 1,
-    "min-n-for-k-hom": lambda p: 3 * p - 2,
-}
+    return tuple(_EXTREMAL_N[kind][1](p))
 
 
 # The witness path is built and burned on bitmasks whose closed
@@ -642,7 +631,7 @@ def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
         raise ValueError("parameter must be >= 1")
     if kind not in _EXTREMAL_N:
         raise ValueError(f"unknown extremal kind {kind!r}")
-    n = _EXTREMAL_N[kind](param)
+    n = _EXTREMAL_N[kind][0](param)
     if n > _WITNESS_VERTICES:
         raise SizeGuardExceeded(
             f"the {kind} witness at {param} needs P{n}, past the witness "

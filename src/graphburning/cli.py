@@ -16,6 +16,7 @@ import sys
 from itertools import islice
 
 from .burning import (
+    _EXTREMAL_N,
     Burning,
     BurningError,
     IncompleteBurning,
@@ -182,7 +183,7 @@ def cmd_complex(args) -> int:
 
 def cmd_homology(args) -> int:
     try:
-        parse_coeff(args.coeff)  # before the search, which can take seconds
+        p = parse_coeff(args.coeff)  # before the search, which can take seconds
     except ValueError as exc:
         raise UsageError(f"bad --coeff: {exc}") from None
     g = load_graph(args.graph)
@@ -191,7 +192,10 @@ def cmd_homology(args) -> int:
     record = {"reduced": args.reduced, "coefficients": args.coeff,
               "groups": homology_to_record(groups, args.coeff)}
     prefix = "H~" if args.reduced else "H"
-    lines = [f"{prefix}_{q} = {grp}" for q, grp in enumerate(groups)]
+    # Over a field a group is free: Q^r or F<p>^r, written as Z^r is.
+    ring = "Z" if p is None else "Q" if p == 0 else f"F{p}"
+    lines = [f"{prefix}_{q} = {str(grp).replace('Z', ring)}"
+             for q, grp in enumerate(groups)]
     _emit(args, record, lines)
     return 0
 
@@ -284,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sources")
     p = sub.add_parser("witness", parents=[common],
                        help="extremal path lengths with witnesses")
-    p.add_argument("kind", choices=("max-n-for-T", "max-n-for-T-hom",
-                                    "max-n-for-k", "min-n-for-k",
-                                    "min-n-for-k-hom"))
+    p.add_argument("kind", choices=tuple(_EXTREMAL_N))
     p.add_argument("param", type=int)
     p.set_defaults(fn=cmd_witness)
     p = sub.add_parser("verify", parents=[common],

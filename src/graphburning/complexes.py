@@ -151,17 +151,11 @@ def graph_as_complex(g: Graph) -> SimplicialComplex:
         g.vertex_count, list(g.edges) + [(v,) for v in g.vertices])
 
 
-def cone(c: SimplicialComplex) -> SimplicialComplex:
-    """Add an apex vertex joined to every simplex; apex index = old vertex count."""
-    apex = 1 << c.vertex_count
-    return SimplicialComplex(c.vertex_count + 1, frozenset(m | apex for m in c.masks))
-
-
-def suspension(c: SimplicialComplex) -> SimplicialComplex:
-    """Add two poles, each joined to every simplex."""
-    south, north = 1 << c.vertex_count, 2 << c.vertex_count
-    return SimplicialComplex(c.vertex_count + 2, frozenset(
-        m | pole for m in c.masks for pole in (south, north)))
+def join(c: SimplicialComplex, d: SimplicialComplex) -> SimplicialComplex:
+    """The join c * d: each facet of c united with each of d.  d's vertices come
+    after c's, as `disjoint_union` numbers H after G."""
+    return SimplicialComplex(c.vertex_count + d.vertex_count, frozenset(
+        m | n << c.vertex_count for m in c.masks for n in d.masks))
 
 
 def _strong_core(c: SimplicialComplex) -> SimplicialComplex:

@@ -11,10 +11,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import combinations
 from typing import Callable
 
 from .burning import (
+    _EXTREMAL_N,
     burning_count,
     burning_map,
     burning_number,
@@ -27,12 +29,7 @@ from .burning import (
     validate_burning,
     validate_morphism,
 )
-from .complexes import (
-    cone,
-    configuration_space,
-    one_skeleton_graph,
-    suspension,
-)
+from .complexes import SimplicialComplex, configuration_space, join, one_skeleton_graph
 from .exactlinalg import InvariantError, determinantal_divisor_snf, smith_normal_form
 from .graphs import (
     Graph,
@@ -48,7 +45,7 @@ from .graphs import (
     path_graph,
     validate_graph_map,
 )
-from .homology import chain_complex, euler_characteristic, homology
+from .homology import HomologyGroup, chain_complex, euler_characteristic, homology
 
 RANDOM_SEED = 20250826
 
@@ -135,6 +132,10 @@ EXAMPLE_HEX = Graph.from_edges(
     7, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 6), (4, 5), (5, 6)])
 EXAMPLE_HEX_SOURCES = (0, 4, 6)
 
+# conf(K1) and conf(P2), written out so that the checks do not lean on the search.
+POINT = SimplicialComplex(1, frozenset({0b1}))
+S0 = SimplicialComplex(2, frozenset({0b01, 0b10}))
+
 
 # ---------------------------------------------------------------------------
 # Checks
@@ -177,15 +178,16 @@ def check_cone_suspension() -> CheckResult:
                  "adding a detached edge suspends it")
     bad = []
     corpus = connected_corpus(6)
-    # The new vertex is the cone's apex and the edge's ends are the poles,
-    # so the complexes are equal, not just isomorphic.
+    # The cone and the suspension are the joins with a point and with S^0,
+    # numbered as `disjoint_union` numbers the new part: equal, not just
+    # isomorphic.
     for name, g in corpus:
         base = configuration_space(g)
         with_point = configuration_space(disjoint_union(g, complete_graph(1)))
-        if with_point != cone(base):
+        if with_point != join(base, POINT):
             bad.append((name, "cone"))
         with_edge = configuration_space(disjoint_union(g, path_graph(2)))
-        if with_edge != suspension(base):
+        if with_edge != join(base, S0):
             bad.append((name, "suspension"))
     return _result("cone-suspension", statement, not bad,
                    {"graphs_checked": len(corpus), "counterexamples": bad})
@@ -260,19 +262,11 @@ def check_cross_polytope_spheres() -> CheckResult:
     for n in range(1, 6):
         g = iterated_sum(n, path_graph(2))
         c = configuration_space(g)
-        facets = sorted(c.facets)
-        shape_ok = (len(facets) == 2 ** n
-                    and all(len(f) == n for f in facets)
-                    and all(len({v // 2 for v in f}) == n for f in facets))
-        groups = homology(c)
-        if n == 1:
-            hom_ok = [g_.free_rank for g_ in groups] == [2] and not groups[0].torsion
-        else:
-            want = [1 if q in (0, n - 1) else 0 for q in range(n)]
-            hom_ok = ([g_.free_rank for g_ in groups] == want
-                      and all(not g_.torsion for g_ in groups))
-        if not (shape_ok and hom_ok):
-            bad[n] = {"facets": len(facets), "homology": [str(x) for x in groups]}
+        # The n-fold join of S^0, edge i's ends numbered 2i and 2i + 1.
+        shape_ok = c == reduce(join, [S0] * n)
+        groups = homology(c, reduced=True)
+        if not (shape_ok and groups == [HomologyGroup(0)] * (n - 1) + [HomologyGroup(1)]):
+            bad[n] = {"facets": len(c.facets), "homology": [str(x) for x in groups]}
     return _result("cross-polytope-spheres", statement, not bad, {"mismatches": bad})
 
 
@@ -336,8 +330,7 @@ def check_extremal_paths() -> CheckResult:
                  "validated witnesses, and the T^2 / 2k-1 bounds are tight")
     bad = []
     for p in (1, 2, 3):
-        for kind in ("max-n-for-T", "max-n-for-T-hom", "max-n-for-k",
-                     "min-n-for-k", "min-n-for-k-hom"):
+        for kind in _EXTREMAL_N:
             try:
                 extremal_path_report(kind, p)
             except Exception as exc:  # report, never crash the harness
@@ -378,17 +371,8 @@ def check_suspension_shift() -> CheckResult:
         base = homology(configuration_space(g), reduced=True)
         lifted = homology(configuration_space(disjoint_union(g, path_graph(2))),
                           reduced=True)
-        top = max(len(base) + 1, len(lifted))
-        for k in range(top):
-            want = base[k - 1] if 1 <= k <= len(base) else None
-            got = lifted[k] if k < len(lifted) else None
-            want_rank = want.free_rank if want else 0
-            want_tor = want.torsion if want else ()
-            got_rank = got.free_rank if got else 0
-            got_tor = got.torsion if got else ()
-            if (got_rank, got_tor) != (want_rank, want_tor):
-                bad.append((name, k, f"{got_rank},{got_tor}",
-                            f"{want_rank},{want_tor}"))
+        if lifted != [HomologyGroup(0)] + base:
+            bad.append((name, [str(x) for x in lifted], [str(x) for x in base]))
     return _result("suspension-shift", statement, not bad,
                    {"graphs_checked": len(corpus), "counterexamples": bad})
 

@@ -176,7 +176,14 @@ def test_homology_command(capsys):
     code, out, _ = run(capsys, "homology", "path:5")
     assert code == 0 and out.splitlines() == ["H_0 = Z", "H_1 = Z", "H_2 = 0"]
     code, out, _ = run(capsys, "homology", "--reduced", "--coeff", "q", "path:5")
-    assert out.splitlines() == ["H~_0 = 0", "H~_1 = Z", "H~_2 = 0"]
+    assert out.splitlines() == ["H~_0 = 0", "H~_1 = Q", "H~_2 = 0"]
+    # A field is named in text; JSON keeps the coefficient spec and the ranks.
+    code, out, _ = run(capsys, "homology", "--coeff", "p:2", "cycle:6")
+    assert code == 0 and out.splitlines() == ["H_0 = F2", "H_1 = F2^4"]
+    code, out, _ = run(capsys, "--format", "json", "homology", "--coeff", "p:2", "cycle:6")
+    record = json.loads(out)
+    assert record["coefficients"] == "p:2"
+    assert [g["free_rank"] for g in record["groups"]] == [1, 4]
 
 
 def test_homology_reports_degrees_the_core_collapsed(capsys):

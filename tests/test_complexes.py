@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from graphburning import (
     SimplicialComplex,
     SimplicialMapError,
     burning_number,
+    classify,
     complement,
     complete_graph,
     compose_simplicial_maps,
-    cone,
     configuration_space,
     cube_graph,
     cycle_graph,
@@ -22,12 +24,14 @@ from graphburning import (
     graph_as_complex,
     homology,
     identity_simplicial_map,
+    iter_burnings,
     iterated_sum,
+    join,
     one_skeleton_graph,
     path_graph,
     skeleton,
     source_sets,
-    suspension,
+    validate_burning,
     validate_simplicial_map,
 )
 from graphburning.complexes import _strong_core
@@ -39,6 +43,9 @@ from strong_core import absorb_literally, strong_core_literally
 # Bit v of a facet mask is set iff vertex v is in the facet.
 FULL_TRIANGLE = SimplicialComplex(3, frozenset({0b111}))
 HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({0b011, 0b101, 0b110}))
+# conf(K1) and conf(P2): the cone is the join with POINT, the suspension with S0.
+POINT = SimplicialComplex(1, frozenset({0b1}))
+S0 = SimplicialComplex(2, frozenset({0b01, 0b10}))
 
 
 def test_complex_validation():
@@ -193,12 +200,17 @@ def test_graph_as_complex_round_trip():
 
 
 def test_cone_and_suspension_shapes():
-    c = cone(HOLLOW_TRIANGLE)
+    c = join(HOLLOW_TRIANGLE, POINT)
     assert c.vertex_count == 4
     assert c.facets == frozenset({(0, 1, 3), (0, 2, 3), (1, 2, 3)})
-    s = suspension(HOLLOW_TRIANGLE)
+    s = join(HOLLOW_TRIANGLE, S0)
     assert s.vertex_count == 5
-    assert len(s.facets) == 6
+    assert s.facets == frozenset({(0, 1, 3), (0, 2, 3), (1, 2, 3),
+                                  (0, 1, 4), (0, 2, 4), (1, 2, 4)})
+    # d's vertices come after c's.
+    assert join(POINT, HOLLOW_TRIANGLE).facets == frozenset({(0, 1, 2), (0, 1, 3), (0, 2, 3)})
+    assert join(join(S0, S0), S0) == join(S0, join(S0, S0))
+    assert len(reduce(join, [S0] * 4).facets) == 16
 
 
 @given(graphs(max_vertices=6))
@@ -206,8 +218,45 @@ def test_cone_and_suspension_shapes():
 def test_isolated_vertex_cones_and_detached_edge_suspends(g):
     # Labelled equality: the new vertex is the apex, the edge's ends the poles.
     base = configuration_space(g)
-    assert configuration_space(disjoint_union(g, complete_graph(1))) == cone(base)
-    assert configuration_space(disjoint_union(g, path_graph(2))) == suspension(base)
+    assert configuration_space(disjoint_union(g, complete_graph(1))) == join(base, POINT)
+    assert configuration_space(disjoint_union(g, path_graph(2))) == join(base, S0)
+
+
+def _random_graph(rng, max_vertices):
+    n = rng.randint(1, max_vertices)
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.4])
+
+
+def test_configuration_space_of_a_disjoint_union_is_the_join():
+    # conf(G + H) = conf(G) * conf(H), both sides from the whole-graph search.
+    # (i) A burning of G + H keeps its G-sources admissible in G, so its
+    # source set meets G in a face of conf(G).  (ii) A burning of H followed
+    # by a burning of G burns G + H: fire never crosses between the parts,
+    # and delaying all of G's steps alike keeps the gaps between them.
+    rng = random.Random(20261019)
+    disconnected = 0
+    for _ in range(200):
+        g, h = _random_graph(rng, 5), _random_graph(rng, 5)
+        union = disjoint_union(g, h)
+        assert configuration_space(union) == join(configuration_space(g),
+                                                  configuration_space(h))
+        shift = g.vertex_count
+        whole = set(source_sets(union))
+        for bh in _one_burning_per_source_set(h):
+            for bg in _one_burning_per_source_set(g):
+                b = validate_burning(union, tuple(v + shift for v in bh.sources) + bg.sources)
+                assert b.end_time == max(bh.end_time, len(bh.sources) + bg.end_time)
+                assert tuple(sorted(b.sources)) in whole
+        disconnected += not (classify(g).connected and classify(h).connected)
+    assert disconnected > 50
+
+
+def _one_burning_per_source_set(g):
+    first = {}
+    for b in iter_burnings(g):
+        first.setdefault(frozenset(b.sources), b)
+    return first.values()
 
 
 def test_configuration_space_of_p5():

@@ -18,19 +18,18 @@ from graphburning import (
     chain_complex,
     classify,
     compose_simplicial_maps,
-    cone,
     configuration_space,
     cycle_graph,
     disjoint_union,
     euler_characteristic,
     from_generators,
     homology,
-    iterated_sum,
     induced_map,
+    iterated_sum,
+    join,
     matrix_rank_over,
     path_graph,
     smith_normal_form,
-    suspension,
     validate_simplicial_map,
 )
 from graphburning.complexes import _strong_core
@@ -66,6 +65,9 @@ TETRA_BOUNDARY = from_generators(
 PROJECTIVE_PLANE = from_generators(6, [
     (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)])
+# The suspension and the cone of a complex are its joins with S^0 and a point.
+S0 = SimplicialComplex(2, frozenset({0b01, 0b10}))
+POINT = SimplicialComplex(1, frozenset({0b1}))
 # Four components: RP^2 on 0..5, a hollow triangle and two isolated vertices.
 SCATTERED = from_generators(11, sorted(PROJECTIVE_PLANE.facets) + [
     (6, 7), (7, 8), (6, 8), (9,), (10,)])
@@ -274,7 +276,7 @@ def test_field_ranks_match_elimination(c):
     _assert_field_ranks_match_elimination(c)
 
 
-@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE)],
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, join(PROJECTIVE_PLANE, S0)],
                          ids=["RP2", "suspension-RP2"])
 def test_field_ranks_match_elimination_with_torsion(c):
     _assert_field_ranks_match_elimination(c)
@@ -307,7 +309,7 @@ def test_coreduction_matches_unreduced_route_on_random_complexes():
             assert homology(c, reduced, coeff) == unreduced_homology(c, reduced, coeff)
 
 
-@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE), SCATTERED],
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, join(PROJECTIVE_PLANE, S0), SCATTERED],
                          ids=["RP2", "suspension-RP2", "scattered"])
 def test_coreduction_keeps_torsion_and_components(c):
     _assert_matches_unreduced_route(c)
@@ -358,7 +360,7 @@ def test_one_reduction_serves_every_ring(c):
     _assert_cached_reduction_matches(c)
 
 
-@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, suspension(PROJECTIVE_PLANE), SCATTERED],
+@pytest.mark.parametrize("c", [PROJECTIVE_PLANE, join(PROJECTIVE_PLANE, S0), SCATTERED],
                          ids=["RP2", "suspension-RP2", "scattered"])
 def test_one_reduction_serves_every_ring_with_torsion(c):
     _assert_cached_reduction_matches(c)
@@ -417,7 +419,7 @@ def test_strong_core_keeps_projective_plane_torsion():
 def test_collapsed_degrees_are_still_reported():
     # Both collapse to a point; every degree up to the input's dimension stays.
     p13 = configuration_space(path_graph(13))
-    coned = cone(PROJECTIVE_PLANE)
+    coned = join(PROJECTIVE_PLANE, POINT)
     for c in (p13, coned):
         assert _strong_core(c).vertex_count == 1
         assert [str(h) for h in homology(c)] == ["Z"] + ["0"] * c.dimension
