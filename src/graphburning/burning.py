@@ -21,21 +21,14 @@ anything).  A burning reads its homomorphism flag off its
 time function (`Burning.is_homomorphism`: no edge inside one time class),
 with no graph map built; `burning_map` certifies the map itself.  Every
 exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (residual states, listed burnings, subgraph candidates), not of size,
-and an extremal-path witness past a constant path length is refused.
-
-A connected subgraph holding the sources burns compatibly with a burning b
-iff each of its non-source vertices has an edge in it to a vertex burning a
-step earlier; the minimal ones are the trees obeying this rule whose vertices
-of degree <= 1 are all sources (`is_b_burned`, `minimal_b_burned_subgraphs`).
+work (residual states, listed burnings, subgraph path steps), not of size,
+and the bitmasks are not built for a graph past a constant vertex count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .exactlinalg import InvariantError
@@ -166,8 +159,15 @@ class Burning:
         }
 
 
+# The N[v] masks take ~n^2/16 bytes on a path: P40000 ~135 MiB, P200000 ~2.5 GiB.
+_WITNESS_VERTICES = 40_000
+
+
 def _closed_neighbourhoods(g: Graph) -> tuple[int, ...]:
     """Entry v is the bitmask of the closed neighbourhood N[v]."""
+    if g.vertex_count > _WITNESS_VERTICES:
+        raise SizeGuardExceeded(f"a graph with {g.vertex_count:,} vertices is past "
+                                f"the bitmask budget of {_WITNESS_VERTICES:,} vertices")
     return tuple([sum([1 << w for w in a], 1 << v) for v, a in enumerate(_adjacency(g))])
 
 
@@ -500,8 +500,8 @@ def is_b_burned(h: Subgraph, b: Burning) -> Burning | None:
     return Burning(local, tuple(position[v] for v in b.sources), times, max(times))
 
 
-# The subgraph search gives up past this many vertex sets and edge subsets:
-# one source on K7 needs about 76,000, on K8 over a million.
+# The subgraph search gives up past this many path steps: the 4x5 grid burned
+# from (0, 2, 4, 13, 19) takes 61,424, the 5x5 grid 776,420, K8 from 0 none.
 _SUBGRAPH_CANDIDATES = 100_000
 
 
@@ -512,39 +512,45 @@ def minimal_b_burned_subgraphs(b: Burning) -> list[Subgraph]:
     <= 1 are sources.  A spanning tree keeping one earlier-neighbour edge per
     non-source vertex obeys the rule, so a minimal one is a tree; a non-source
     leaf is no vertex's earlier neighbour and can go; and a connected subgraph
-    of a tree that holds all its leaves is the whole tree.  A vertex set whose
-    induced edges break the rule is skipped; otherwise its edge subsets of one
-    edge fewer than its vertices are tested.  Past `_SUBGRAPH_CANDIDATES`
-    vertex sets and edge subsets listed, it raises `SizeGuardExceeded`.
+    of a tree that holds all its leaves is the whole tree.  So from {s_1}, each
+    later source off the tree joins it by a simple path that meets it at the
+    path's end only; as s_1..s_i span one subtree, each tree is built once.
+    Past `_SUBGRAPH_CANDIDATES` path steps it raises `SizeGuardExceeded`.
     """
     g = b.graph
     if not classify(g).connected:
         raise BurningError("ambient graph must be connected")
-    needed = set(b.sources)
-    others = [v for v in g.vertices if v not in needed]
-    found: list[Subgraph] = []
-    examined = 0
-    for r in range(len(others) + 1):
-        for extra in combinations(others, r):
-            vs = tuple(sorted(needed.union(extra)))
-            inside = set(vs)
-            pool = sorted(e for e in g.edges if e[0] in inside and e[1] in inside)
-            feasible = _obeys_rule(b, extra, pool)
-            examined += 1 + (comb(len(pool), len(vs) - 1) if feasible else 0)
-            if examined > _SUBGRAPH_CANDIDATES:
+    # Paths in progress: (source index, tree, end, path, edges as (edge, rest)).
+    nbhd, sources, found, stack, steps = _closed_neighbourhoods(g), b.sources, [], [], 0
+
+    def place(i: int, tree: int, edges: tuple | None) -> None:
+        while i < len(sources) and tree >> sources[i] & 1:
+            i += 1
+        if i < len(sources):
+            stack.append((i, tree, sources[i], 1 << sources[i], edges))
+            return
+        chosen = []
+        while edges:
+            e, edges = edges
+            chosen.append(e)
+        if _obeys_rule(b, _vertices(tree), chosen):
+            found.append(Subgraph(g, _vertices(tree), frozenset(chosen)))
+
+    place(1, 1 << sources[0], None)
+    while stack:
+        i, tree, v, path, edges = stack.pop()
+        for w in _vertices(nbhd[v] & ~path):
+            steps += 1
+            if steps > _SUBGRAPH_CANDIDATES:
                 raise SizeGuardExceeded(
                     f"the subgraph search passed {_SUBGRAPH_CANDIDATES:,} candidates "
                     f"on a graph with {g.vertex_count} vertices / {len(g.edges)} edges")
-            if not feasible:
-                continue
-            for chosen in combinations(pool, len(vs) - 1):
-                ends = [x for e in chosen for x in e]
-                if all(ends.count(v) > 1 for v in extra) and _obeys_rule(b, extra, chosen):
-                    h = Subgraph(g, vs, frozenset(chosen))
-                    if classify(h.as_graph()[0]).connected:
-                        found.append(h)
-    found.sort(key=lambda h: (h.vertices, sorted(h.edges)))
-    return found
+            grown = ((min(v, w), max(v, w)), edges)
+            if tree >> w & 1:
+                place(i + 1, tree | path, grown)
+            else:
+                stack.append((i, tree, w, path | 1 << w, grown))
+    return sorted(found, key=lambda h: (h.vertices, sorted(h.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +612,6 @@ _EXTREMAL_N = {
 def _closed_form_witness(kind: str, p: int) -> tuple[int, ...]:
     """The 1-based source positions suggested by the closed-form analysis."""
     return tuple(_EXTREMAL_N[kind][1](p))
-
-
-# The witness path is built and burned on bitmasks whose closed
-# neighbourhoods take about n^2/16 bytes: P40000 (max-n-for-T at 200) peaks
-# at ~135 MiB, and max-n-for-T at 1000 would need ~60 GiB.
-_WITNESS_VERTICES = 40_000
 
 
 def _witness_ok(kind: str, p: int, b: Burning) -> bool:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 import random
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 from typing import Callable
 
 from .burning import (
@@ -310,8 +312,7 @@ def check_minimal_subgraphs() -> CheckResult:
         details["hex_example"] = got_vs
 
     non_trees = []
-    corpus = [(name, g) for name, g in connected_corpus(6)
-              if len(g.edges) <= 9]
+    corpus = connected_corpus(6)
     for name, g in corpus:
         b_first = next(iter_burnings(g))
         for h in minimal_b_burned_subgraphs(b_first):
@@ -469,6 +470,12 @@ def run_checks(check_ids: list[str] | None = None) -> VerificationReport:
         if cid not in CHECKS:
             raise KeyError(f"unknown check {cid!r}; known: {', '.join(CHECKS)}")
         start = time.perf_counter()
-        result = CHECKS[cid]()
+        try:
+            result = CHECKS[cid]()
+        except Exception as exc:  # report, never crash the harness
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            result = CheckResult(cid, f"raised {type(exc).__name__}", "fail", {
+                "error": type(exc).__name__, "message": str(exc),
+                "at": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"})
         results.append(replace(result, elapsed_s=round(time.perf_counter() - start, 3)))
     return VerificationReport(tuple(results))

@@ -698,10 +698,33 @@ def test_is_b_burned_refuses_disconnected_graphs():
 
 def test_minimal_subgraphs_one_source_on_complete_graphs():
     """Only the source itself: every larger tree has a non-source leaf."""
-    got = minimal_b_burned_subgraphs(validate_burning(complete_graph(7), (0,)))
-    assert [(h.vertices, h.edges) for h in got] == [((0,), frozenset())]
-    with pytest.raises(SizeGuardExceeded):
-        minimal_b_burned_subgraphs(validate_burning(complete_graph(8), (0,)))
+    for n in range(7, 13):
+        got = minimal_b_burned_subgraphs(validate_burning(complete_graph(n), (0,)))
+        assert [(h.vertices, h.edges) for h in got] == [((0,), frozenset())]
+
+
+def test_subgraph_budget_reach(monkeypatch):
+    """The budget counts path steps: the 4x5 grid burned from (0, 2, 4, 13,
+    19) takes exactly 61,424 and is answered; the 5x5 grid is refused."""
+    def grid(rows):
+        return Graph.from_edges(rows * 5, [(v, v + 1) for v in range(rows * 5) if v % 5 < 4]
+                                + [(v, v + 5) for v in range(rows * 5 - 5)])
+
+    b = validate_burning(grid(4), (0, 2, 4, 13, 19))
+    got = minimal_b_burned_subgraphs(b)
+    assert len(set(got)) == len(got) > 0
+    for h in got:
+        ends = [v for e in h.edges for v in e]
+        leaves = {v for v in h.vertices if ends.count(v) <= 1}
+        assert classify(h.as_graph()[0]).tree and is_b_burned(h, b)
+        assert leaves <= set(b.sources)
+    with pytest.raises(SizeGuardExceeded, match="100,000 candidates"):
+        minimal_b_burned_subgraphs(validate_burning(grid(5), (0, 2, 4, 13, 19)))
+    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 61_423)
+    with pytest.raises(SizeGuardExceeded, match="61,423 candidates"):
+        minimal_b_burned_subgraphs(b)
+    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 61_424)
+    assert minimal_b_burned_subgraphs(b) == got
 
 
 def literal_minimal_subgraphs(b):
@@ -741,6 +764,22 @@ def test_minimal_subgraphs_match_literal_filter_on_eight_vertices():
         if not classify(g).connected:
             continue
         b = rng.choice(enumerate_burnings(g))
+        assert minimal_b_burned_subgraphs(b) == literal_minimal_subgraphs(b)
+        checked += 1
+
+
+def test_minimal_subgraphs_match_literal_filter_on_dense_graphs():
+    """Multi-source burnings of 7- and 8-vertex graphs with 13 or 14 edges."""
+    rng = random.Random(13)
+    checked = 0
+    while checked < 8:
+        n = 7 if checked < 4 else 8
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(13, 14)))
+        multi = [b for b in enumerate_burnings(g) if len(b.sources) > 1]
+        if not classify(g).connected or not multi:
+            continue
+        b = rng.choice(multi)
         assert minimal_b_burned_subgraphs(b) == literal_minimal_subgraphs(b)
         checked += 1
 
@@ -875,6 +914,23 @@ def test_extremal_witness_budget(monkeypatch):
     assert extremal_path_report("max-n-for-T", 3).n == 9
     with pytest.raises(SizeGuardExceeded, match="needs P16, past the witness budget of 9"):
         extremal_path_report("max-n-for-T", 4)
+
+
+def test_bitmask_vertex_budget(monkeypatch):
+    """Past the vertex budget the N[v] masks are refused before they are built."""
+    g = path_graph(10)
+    b = validate_burning(g, (5, 1, 8))
+    _search.cache_clear()
+    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 9)
+    monkeypatch.setattr(burning, "_adjacency", lambda g: pytest.fail("built the masks"))
+    for call in (lambda: validate_burning(g, (5, 1, 8)), lambda: burning_number(g),
+                 lambda: next(_burnings(g)), lambda: minimal_b_burned_subgraphs(b)):
+        with pytest.raises(SizeGuardExceeded,
+                           match="10 vertices is past the bitmask budget of 9 vertices"):
+            call()
+    monkeypatch.undo()
+    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 10)
+    assert validate_burning(g, (5, 1, 8)) == b and burning_number(g) == 4
 
 
 def test_extremal_bad_arguments():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from graphburning import (
+    ComplexError,
     InvariantError,
     configuration_space,
     enumerate_burnings,
@@ -242,6 +243,30 @@ def test_verify_reports_broken_invariant_as_failure(capsys, monkeypatch, name):
     assert "deliberately broken" in json.dumps(check["details"])
 
 
+def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    def raiser(*args):
+        raise ComplexError("facets must cover exactly 0..1")
+
+    monkeypatch.setattr(verify, "join", raiser)
+    argv = ("verify", "cube", "cone-suspension", "p5-configuration-space")
+    code, out, err = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and not err and len(lines) == 5
+    assert lines[0].startswith("PASS cube: ")
+    assert lines[1] == "FAIL cone-suspension: raised ComplexError"
+    assert "facets must cover exactly 0..1" in lines[2]
+    assert lines[3].startswith("PASS p5-configuration-space: ")
+    assert lines[4] == "some checks FAILED"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    checks = json.loads(out)["checks"]
+    assert code == 1 and [c["status"] for c in checks] == ["pass", "fail", "pass"]
+    assert checks[1]["check_id"] == "cone-suspension"
+    details = checks[1]["details"]
+    assert (details["error"], details["message"]) == (
+        "ComplexError", "facets must cover exactly 0..1")
+    assert re.fullmatch(r"test_cli\.py:\d+ in raiser", details["at"])
+
+
 def test_listings_read_the_flag_without_a_graph_map(capsys, monkeypatch):
     """Records, text lines and -hom witnesses read `Burning.is_homomorphism`."""
     def no_graph_map(*args, **kwargs):
@@ -276,6 +301,19 @@ def test_listing_budget_fails_fast(capsys, monkeypatch):
 def test_oversized_listing_is_refused_at_once(capsys):
     code, out, err = run(capsys, "burnings", "sum:7,path:2")
     assert code == 2 and not out and "has 645,120 burnings" in err
+
+
+def test_bitmask_budget_fails_fast(capsys, monkeypatch):
+    code, out, err = run(capsys, "validate", "path:200000", "0")
+    assert code == 2 and not out
+    assert "200,000 vertices is past the bitmask budget of 40,000 vertices" in err
+    # At the budget the graph is validated: one source leaves most of P40000.
+    code, out, err = run(capsys, "validate", "path:40000", "0")
+    assert code == 1 and "never burn (39,998 in all)" in out and not err
+    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 4)
+    burning._search.cache_clear()
+    code, out, err = run(capsys, "burning-number", "path:5")
+    assert code == 2 and not out and "past the bitmask budget of 4 vertices" in err
 
 
 def test_subgraph_budget_fails_fast(capsys, monkeypatch):
