@@ -15,14 +15,15 @@ region N[S] thus fixes everything after step j - 1; S matters only at the
 end, for whether the last step burned anything.  One search memoised on
 N[S] gives the source sets, the burning number and the number of burnings
 (`burning_count`); a lazy walk memoised the same way yields the ordered
-burnings from an optional source prefix, one at a time (`iter_burnings`,
-which counts first and so refuses an oversized listing before it yields
-anything).  A burning reads its homomorphism flag off its
-time function (`Burning.is_homomorphism`: no edge inside one time class),
-with no graph map built; `burning_map` certifies the map itself.  Every
-exponential search stops with `SizeGuardExceeded` past a constant budget of
-work (residual states, listed burnings, subgraph path steps), not of size,
-and the bitmasks are not built for a graph past a constant vertex count.
+burnings one at a time (`iter_burnings`, which counts first and so refuses
+an oversized listing before it yields anything).  A burning reads its
+homomorphism flag off its time function (`Burning.is_homomorphism`: no edge
+inside one time class), with no graph map built; `burning_map` certifies the
+map itself.  Every exponential search stops with `SizeGuardExceeded` past a
+constant budget of work (residual states, listed burnings, subgraph path
+steps), not of size; an extension is decided from one completion, with no
+search; and the bitmasks are not built for a graph past a constant vertex
+count.
 """
 
 from __future__ import annotations
@@ -225,46 +226,35 @@ def burning_map(b: Burning) -> GraphMap:
 # minutes: 6xP2 has 46,080, while 7xP2 has 645,120 (~25 s, ~650 MiB).
 _LISTED_BURNINGS = 100_000
 
-# The searches give up past this many distinct states S rather than run for
+# The search gives up past this many distinct states S rather than run for
 # minutes: P20 meets 13,180, P25 89,118 and E16 2^16 (each answered in under
-# 2 s), while C26 needs 105,159, P26 129,099 and E17 2^17.  They count the
-# states, not the regions N[S] that key the memos: an edgeless graph has one
+# 2 s), while C26 needs 105,159, P26 129,099 and E17 2^17.  It counts the
+# states, not the regions N[S] that key its memo: an edgeless graph has one
 # state per region, a path five or six, so regions alone misjudge the work.
 _SEARCH_STATES = 100_000
 
 
-def _too_many_states(g: Graph) -> SizeGuardExceeded:
-    return SizeGuardExceeded(
-        f"the burning search passed {_SEARCH_STATES:,} residual states "
-        f"on a graph with {g.vertex_count} vertices")
+def _burnings(g: Graph) -> Iterator[Burning]:
+    """Every burning of g, lexicographic in the source sequences, lazily.
 
-
-def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
-    """Every burning of g that begins with the given sources, lexicographic.
-
-    Depth-first, lazily, over the burned regions N[S] of `_search`, each
-    expanded once: its entry lists, per admissible v, the child state
+    Depth-first over the burned regions N[S] of `_search`, each expanded
+    once: its entry lists, per admissible v, the child state
     S' = N[S] | {v}, N[S'] and the vertices N[S'] - S' that burn a step
     later.  So a node writes the times of its children and yields a leaf
     (N[S'] the whole graph) in place; its end time is the child's step if
     N[S'] != S', else the step before (a leaf has no admissible source, so
-    no burning sequence is a proper prefix of another).  Below the start
-    only the next start source is followed, so an inadmissible start yields
-    nothing.  Past `_SEARCH_STATES` distinct states S followed or
-    `_LISTED_BURNINGS` burnings it raises `SizeGuardExceeded`.
+    no burning sequence is a proper prefix of another).  It follows the
+    states the search meets, so `iter_burnings` bounds it with the search's
+    state budget and count before it starts.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
-    states = {0}
     times = [0] * g.vertex_count
     prefix: list[int] = []
-    listed = 0
 
     def walk(s: int, ns: int) -> Iterator[Burning]:
-        nonlocal listed
-        depth = len(prefix)
-        step = depth + 1
+        step = len(prefix) + 1
         children = memo.get(ns)
         if children is None:
             free, _, nns = _expand(nbhd, whole, s, ns)
@@ -272,25 +262,14 @@ def _burnings(g: Graph, start: Sequence[int] = ()) -> Iterator[Burning]:
             for v in _vertices(free):
                 child, near = ns | 1 << v, nns | nbhd[v]
                 children.append((v, child, near, _vertices(near & ~child)))
-        if depth < len(start):
-            children = [c for c in children if c[0] == start[depth]]
-        closes = depth + 1 >= len(start)
         for v, child, near, ones in children:
-            states.add(child)
-            if len(states) > _SEARCH_STATES:
-                raise _too_many_states(g)
             times[v] = step
             for w in ones:
                 times[w] = step + 1
             prefix.append(v)
             if near != whole:
                 yield from walk(child, near)
-            elif closes:
-                listed += 1
-                if listed > _LISTED_BURNINGS:
-                    raise SizeGuardExceeded(
-                        f"the burning listing passed {_LISTED_BURNINGS:,} burnings "
-                        f"on a graph with {g.vertex_count} vertices")
+            else:
                 yield Burning(g, tuple(prefix), tuple(times), step + 1 if ones else step)
             prefix.pop()
 
@@ -364,7 +343,9 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
                 least = child_least
             count += child_count
         if len(states) > _SEARCH_STATES:
-            raise _too_many_states(g)
+            raise SizeGuardExceeded(
+                f"the burning search passed {_SEARCH_STATES:,} residual states "
+                f"on a graph with {g.vertex_count} vertices")
         found = memo[ns] = (sets, least + 1, count)
         return found
 
@@ -560,20 +541,34 @@ def minimal_b_burned_subgraphs(b: Burning) -> list[Subgraph]:
 def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
     """First burning of g extending the given burning through the embedding.
 
-    Only the completions of the embedded sources are listed (and budgeted).
+    Every completion of the embedded sources gives the images of H the same
+    times (README, "Extensions"), so they all share one `validate_morphism`
+    verdict.  Only the first is built: the embedded sources, then the least
+    admissible vertex while any is left.  None if the embedded sources are
+    not admissible in g or that completion is no morphism.
     """
     if embed.domain != b_h.graph or embed.codomain != g:
         raise BurningError("embedding endpoints do not match")
     if not embed.is_injective():
         raise BurningError("embedding must be injective")
-    embedded = [embed(v) for v in b_h.sources]
-    for b_g in _burnings(g, embedded):
-        try:
-            validate_morphism(embed, b_h, b_g)
-        except MorphismError:
-            continue
-        return b_g
-    return None
+    sources = [embed(v) for v in b_h.sources]
+    nbhd, whole = _closed_neighbourhoods(g), (1 << g.vertex_count) - 1
+    burned = near = 0
+    for j in range(g.vertex_count + 1):  # each source burns at least itself
+        free, _, nns = _expand(nbhd, whole, burned, near)
+        if j == len(sources):
+            if not free:
+                break
+            sources.append((free & -free).bit_length() - 1)
+        elif not free >> sources[j] & 1:
+            return None
+        burned, near = near | 1 << sources[j], nns | nbhd[sources[j]]
+    b_g = validate_burning(g, sources)
+    try:
+        validate_morphism(embed, b_h, b_g)
+    except MorphismError:
+        return None
+    return b_g
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         # stdout on devnull so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except (UsageError, SizeGuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,8 +87,10 @@ def chain_complex(c: SimplicialComplex, augmented: bool = False) -> ChainComplex
 
 
 def _assert_square_zero(cc: ChainComplexZ) -> None:
+    """Raise unless every boundary composes to zero, the augmentation
+    epsilon = (1 ... 1) below degree 1 included whether or not cc carries it."""
     for q in range(1, len(cc.dims)):
-        lower = cc.boundary(q - 1)
+        lower = cc.boundary(q - 1) if q > 1 else [{0: 1}] * cc.dims[0]
         if any(apply_columns(lower, column) for column in cc.boundary(q)):
             raise InvariantError(f"boundary squared is nonzero out of degree {q}")
 

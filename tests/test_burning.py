@@ -15,6 +15,7 @@ from graphburning import (
     PrefixMismatch,
     SizeGuardExceeded,
     SourceTooEarly,
+    TauIllDefined,
     admits_extension,
     burning_count,
     burning_map,
@@ -247,13 +248,17 @@ def _listed(burnings):
 def test_listing_matches_prefix_dfs(g):
     """The walk over residual states lists what the prefix DFS lists, in order.
 
-    Every one- and two-vertex prefix too, admissible or not.
+    From every one- and two-vertex start, admissible or not, the extension
+    of the start is the first that the prefix DFS lists.
     """
     assert _listed(enumerate_burnings(g)) == _listed(prefix_burnings(g))
     for v in g.vertices:
-        for start in [(v,)] + [(v, w) for w in g.vertices]:
-            listed = _burnings(g, start)
-            assert _listed(listed) == _listed(prefix_burnings(g, start)), start
+        for start in [(v,)] + [(v, w) for w in g.vertices if w != v]:
+            h = edgeless_graph(len(start))
+            embed = validate_graph_map(start, h, g)
+            b_h = validate_burning(h, tuple(h.vertices))
+            first = first_extension_in_listing(b_h, embed, prefix_burnings(g, start))
+            assert admits_extension(b_h, embed, g) == first, start
 
 
 def test_listing_matches_prefix_dfs_on_families():
@@ -358,8 +363,8 @@ def test_search_matches_burned_set_oracle():
 
 
 def test_listing_matches_prefix_dfs_from_starts():
-    """The walk, from every one-vertex start and a sample of two-vertex ones,
-    and the first extension it finds, against the prefix DFS."""
+    """The walk, and the extension of every one-vertex start and a sample of
+    two-vertex ones, against the prefix DFS."""
     rng = random.Random(23)
     for g in _search_oracle_cases()[:60]:
         if g.vertex_count > 7:
@@ -369,12 +374,10 @@ def test_listing_matches_prefix_dfs_from_starts():
             tuple(rng.sample(range(g.vertex_count), 2))
             for _ in range(3) if g.vertex_count > 1]
         for start in starts:
-            expected = list(prefix_burnings(g, start))
-            assert _listed(_burnings(g, start)) == _listed(expected), (g, start)
             h = edgeless_graph(len(start))
             embed = validate_graph_map(start, h, g)
             b_h = validate_burning(h, tuple(h.vertices))
-            first = first_extension_in_listing(b_h, embed, expected)
+            first = first_extension_in_listing(b_h, embed, prefix_burnings(g, start))
             assert admits_extension(b_h, embed, g) == first, (g, start)
 
 
@@ -430,16 +433,18 @@ def test_search_state_budget(monkeypatch):
 
 
 def test_walk_state_budget(monkeypatch):
-    """The listing walk counts the states S it follows, the start included:
-    all 472 of P12 in full, as the search meets, and 60 below the start (3,)."""
+    """The listing walk follows the 472 states of P12 that the search meets,
+    so the count of `iter_burnings` budgets it before it starts."""
     g = path_graph(12)
     assert burned_states(g) == 472
-    for start, states in (((), 472), ((3,), 60)):
-        monkeypatch.setattr(burning, "_SEARCH_STATES", states - 1)
-        with pytest.raises(SizeGuardExceeded, match=f"{states - 1} residual states"):
-            list(_burnings(g, start))
-        monkeypatch.setattr(burning, "_SEARCH_STATES", states)
-        assert _listed(_burnings(g, start)) == _listed(prefix_burnings(g, start))
+    _search.cache_clear()
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 471)
+    with pytest.raises(SizeGuardExceeded, match="471 residual states"):
+        iter_burnings(g)
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 472)
+    listed = list(iter_burnings(g))
+    assert len(listed) == 1_198
+    assert _listed(listed) == _listed(prefix_burnings(g))
 
 
 def test_search_budget_reach():
@@ -478,8 +483,8 @@ def test_budgets_bound_every_search(monkeypatch):
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 0)
     with pytest.raises(SizeGuardExceeded, match="0 burnings"):
         enumerate_burnings(g)
-    with pytest.raises(SizeGuardExceeded, match="0 burnings"):
-        admits_extension(b_h, embed, g)
+    # An extension builds one completion and lists nothing.
+    assert admits_extension(b_h, embed, g).sources == (4, 0, 7)
     monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 0)
     with pytest.raises(SizeGuardExceeded, match="0 candidates"):
         minimal_b_burned_subgraphs(validate_burning(g, (4, 1, 7)))
@@ -556,6 +561,18 @@ def test_morphism_prefix_mismatch():
     ident = validate_graph_map((0, 1, 2), path_graph(3), path_graph(3))
     with pytest.raises(PrefixMismatch):
         validate_morphism(ident, two_sources, one_source)
+
+
+def test_morphism_refusals_name_the_offence():
+    p3 = path_graph(3)
+    ident = validate_graph_map((0, 1, 2), p3, p3)
+    with pytest.raises(PrefixMismatch, match="source 1 maps to 0, expected 2"):
+        validate_morphism(ident, validate_burning(p3, (0, 2)), validate_burning(p3, (2, 0)))
+    # The chord burns vertex 2 a step early, so time 3 splits on P5 + (0, 2).
+    p5, chord = path_graph(5), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    ident = validate_graph_map(tuple(p5.vertices), p5, chord)
+    with pytest.raises(TauIllDefined, match="time 3 maps to both 2 and 3"):
+        validate_morphism(ident, validate_burning(p5, (0, 4)), validate_burning(chord, (0, 4)))
 
 
 def test_morphism_category_laws():
@@ -862,6 +879,69 @@ def test_extension_matches_source_set_definition(embed):
     expected = all(any({embed(v) for v in b.sources} <= s for s in target)
                    for b in enumerate_burnings(embed.domain))
     assert is_burning_extension(embed) == expected
+
+
+def _graph_maps(rng, count):
+    """Seeded graph maps H -> G into graphs with at most 7 vertices: half of
+    them injective, the rest free to merge vertices along or across edges."""
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        m = rng.randint(1, n)
+        fn = rng.sample(range(n), m) if rng.random() < 0.5 else rng.choices(range(n), k=m)
+        kept = [(i, j) for i, j in combinations(range(m), 2)
+                if fn[i] == fn[j] or g.has_edge(fn[i], fn[j])]
+        h = Graph.from_edges(m, rng.sample(kept, rng.randint(0, len(kept))))
+        yield validate_graph_map(fn, h, g)
+
+
+def _verdict(f, b_h, b_g):
+    try:
+        return validate_morphism(f, b_h, b_g).tau
+    except MorphismError as exc:
+        return str(exc)
+
+
+def test_every_completion_gives_one_verdict():
+    """README "Extensions": every completion of the image sources gives the
+    images the same times, so one `validate_morphism` verdict and one tau;
+    `admits_extension` returns the first completion if it extends, else None.
+    Checked against the prefix DFS on 2,000 seeded graph maps."""
+    rng = random.Random(25)
+    seen = {"shared": 0, "merged": 0, "extended": 0, "refused": 0}
+    for f in _graph_maps(rng, 2_000):
+        burnings = enumerate_burnings(f.domain)
+        for b_h in rng.sample(burnings, min(12, len(burnings))):
+            completions = list(prefix_burnings(f.codomain, [f(v) for v in b_h.sources]))
+            verdicts = {_verdict(f, b_h, b_g) for b_g in completions}
+            assert len(verdicts) <= 1, (f, b_h.sources)
+            injective = f.is_injective()
+            seen["shared" if injective else "merged"] += len(completions) > 1
+            if not injective:
+                continue
+            extends = any(isinstance(v, tuple) for v in verdicts)
+            seen["extended" if extends else "refused"] += bool(verdicts)
+            assert admits_extension(b_h, f, f.codomain) == (completions[0] if extends else None)
+    # Every kind of case is met, non-injective maps with several completions too.
+    assert seen == {"shared": 522, "merged": 182, "extended": 2_901, "refused": 67}
+
+
+def test_extension_builds_one_completion(monkeypatch):
+    """P5 with the chord (0, 2), beside nine isolated vertices: (0, 4) has 9!
+    completions, past the listing budget, and none extends the burning of P5
+    (the chord splits its time 3).  The answer comes with nothing listed."""
+    def must_not_search(*args, **kwargs):
+        raise AssertionError("searched the burnings")
+
+    g = Graph.from_edges(14, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    p5 = path_graph(5)
+    embed = validate_graph_map(tuple(p5.vertices), p5, g)
+    monkeypatch.setattr(burning, "_burnings", must_not_search)
+    monkeypatch.setattr(burning, "_search", must_not_search)
+    assert admits_extension(validate_burning(p5, (0, 4)), embed, g) is None
+    b_g = admits_extension(validate_burning(p5, (1, 4)), embed, g)
+    assert b_g.sources == (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
 
 
 # ---------------------------------------------------------------------------

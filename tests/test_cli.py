@@ -412,3 +412,13 @@ def test_survey_script_runs():
     assert len(lines) == 14 and lines[-1].startswith("cube")
     path5 = next(line for line in lines if line.startswith("path(5)"))
     assert re.search(r"burnings=\s*12 b=3 ", path5), path5
+
+
+def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):
+    """Only refusals become usage errors: a stray KeyError propagates."""
+    def bug(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_complex", bug)
+    with pytest.raises(KeyError, match="bug"):
+        main(["complex", "path:3"])

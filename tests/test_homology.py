@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import random
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 from graphburning import (
     ChainComplexZ,
     HomologyGroup,
+    InvariantError,
     SimplicialComplex,
     SmithForm,
     chain_complex,
     classify,
     compose_simplicial_maps,
     configuration_space,
+    cube_graph,
     cycle_graph,
     disjoint_union,
     euler_characteristic,
@@ -185,6 +188,21 @@ def test_augmented_chain_complex():
     assert dense(cc, 0) == [[1, 1, 1]]
     product = mat_mul(dense(cc, 0), dense(cc, 1))
     assert all(x == 0 for row in product for x in row)
+
+
+def test_square_zero_check_applies_the_augmentation(monkeypatch):
+    """conf(cube) has dimension 1, so only epsilon d_1 = 0 sees an edge
+    whose boundary has two +1 signs, augmented complex or not."""
+    c = configuration_space(cube_graph())
+    assert c.dimension == 1
+    chain_complex(c)
+    # The package exports the function `homology`, which hides the module.
+    homology_module = importlib.import_module("graphburning.homology")
+    monkeypatch.setattr(homology_module, "boundary_of", lambda simplex: [
+        (face, 1) for face, _ in boundary_of(simplex)])
+    for augmented in (False, True):
+        with pytest.raises(InvariantError, match="nonzero out of degree 1"):
+            chain_complex(c, augmented=augmented)
 
 
 @given(complexes())
