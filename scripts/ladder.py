@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Time the pipeline layer by layer on a fixed ladder of graphs.
+
+    python3 scripts/ladder.py
+
+Each rung runs in a fresh interpreter: `configuration_space(g)`, then
+`homology(c, reduced=True)`, with the self time of each layer (a wrapped
+layer's time minus the time of the wrapped layers it calls), the peak RSS
+and the counts: source sets, facets, the cells of the strong core that
+homology builds, and the cells left after coreduction.  The layers, in
+pipeline order:
+
+- `search`: `burning._search`, the burning search;
+- `maximal`: `complexes._maximal`, the facet absorption of
+  `configuration_space` and of the strong core;
+- `strong_core`: `complexes._strong_core`;
+- `faces`, `boundaries`, `square_zero`: `complexes.faces`, the rest of
+  `homology.chain_complex`, and its boundary-squared check;
+- `coreduce`: `homology._coreduce`;
+- `smith`: `exactlinalg.smith_normal_form`.
+
+One more row times a fresh `graphburn homology path:14`, split into the
+package import, the parser (build and parse) and the work.  The results go
+to `BENCH_ladder.json` at the repository root, with the commit, the Python
+version and the machine.  The whole ladder takes about a minute.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNGS = ([(f"P{n}", f"path:{n}") for n in range(10, 21)] + [("P24", "path:24"), ("C12", "cycle:12")]
+         + [(f"C{n}", f"cycle:{n}") for n in range(20, 25)]
+         + [(f"{k}xP2", f"sum:{k},path:2") for k in (5, 6, 7, 10, 11)]
+         + [("cube", "cube"), ("corpus", None)])
+LAYERS = (("burning", "_search", "search"), ("complexes", "_maximal", "maximal"),
+          ("complexes", "_strong_core", "strong_core"), ("complexes", "faces", "faces"),
+          ("homology", "chain_complex", "boundaries"),
+          ("homology", "_assert_square_zero", "square_zero"),
+          ("homology", "_coreduce", "coreduce"), ("exactlinalg", "smith_normal_form", "smith"))
+COLD_ARGV = ["homology", "path:14"]
+
+
+def _install_timers(seconds: dict) -> None:
+    """Wrap each layer in every package module that holds it, keeping self times."""
+    # Through import_module: the package re-exports a function named homology.
+    modules = {name: importlib.import_module(f"graphburning.{name}")
+               for name in ("burning", "complexes", "exactlinalg", "homology")}
+    stack: list[list] = []  # [label, seconds spent in wrapped callees]
+
+    def timed(label, fn):
+        def call(*args, **kwargs):
+            stack.append([label, 0.0])
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                seconds[label] += elapsed - stack.pop()[1]
+                if stack:
+                    stack[-1][1] += elapsed
+        return call
+
+    for home, name, label in LAYERS:
+        fn = getattr(modules[home], name)
+        wrapper = timed(label, fn)
+        for module in modules.values():
+            if getattr(module, name, None) is fn:
+                setattr(module, name, wrapper)
+
+
+def measure_rung(name: str) -> dict:
+    """One rung in this process: its counts, seconds per layer and peak RSS."""
+    from graphburning import burning, complexes
+    from graphburning.cli import load_graph
+    from graphburning.graphs import Graph
+    homology = importlib.import_module("graphburning.homology")
+    spec = dict(RUNGS)[name]
+    if spec is None:  # the benchmark's survey corpus for seed 1: 108 graphs
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import survey_corpus
+        graphs = [Graph.from_edges(n, edges) for n, edges in survey_corpus(1)]
+    else:
+        graphs = [load_graph(spec)]
+    seconds: dict = defaultdict(float)
+    _install_timers(seconds)
+    conf_s = homology_s = 0.0
+    for g in graphs:
+        start = time.perf_counter()
+        c = complexes.configuration_space(g)
+        middle = time.perf_counter()
+        homology.homology(c, reduced=True)
+        conf_s += middle - start
+        homology_s += time.perf_counter() - middle
+    row = {"rung": name, "graphs": len(graphs), "conf_s": round(conf_s, 4),
+           "homology_s": round(homology_s, 4),
+           "seconds": {label: round(seconds[label], 4) for _, _, label in LAYERS},
+           "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    # Counted after the timings, which these calls would otherwise add to.
+    counts = defaultdict(int)
+    for g in graphs:
+        c = complexes.configuration_space(g)
+        core = complexes._strong_core(c)
+        counts["source_sets"] += len(burning._search(g)[0])
+        counts["facets"] += len(c.masks)
+        counts["cells"] += sum(len(complexes.faces(core, q)) for q in range(core.dimension + 1))
+        counts["cells_left"] += sum(homology._reduction(c)[1])
+    return dict(row, **counts)
+
+
+# Run as its own interpreter's program, so that nothing is imported before the
+# package; the times go to stderr, the command's output to stdout.
+COLD_START = f"""
+import sys, time
+start = time.perf_counter()
+from graphburning import cli
+imported = time.perf_counter()
+args = cli.build_parser({COLD_ARGV!r}).parse_args({COLD_ARGV!r})
+parsed = time.perf_counter()
+args.fn(args)
+done = time.perf_counter()
+print(imported - start, parsed - imported, done - parsed, file=sys.stderr)
+"""
+
+
+def fresh(code: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Run code in a new interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(ROOT / "src"), str(ROOT / "scripts"), os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done, round(time.perf_counter() - start, 4)
+
+
+def run_rung(name: str) -> dict:
+    """One rung in a fresh interpreter, with that process's wall time."""
+    done, wall = fresh(f"import json, ladder; print(json.dumps(ladder.measure_rung({name!r})))")
+    return dict(json.loads(done.stdout), process_s=wall)
+
+
+def run_cold_start() -> dict:
+    done, wall = fresh(COLD_START)
+    stages = [round(float(x), 4) for x in done.stderr.split()]
+    return dict(zip(("import_s", "parser_s", "work_s"), stages), argv=COLD_ARGV,
+                process_s=wall)
+
+
+def _commit() -> str:
+    """HEAD's hash, with "-dirty" when the working tree differs from it."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main() -> None:
+    rungs = []
+    for name, _ in RUNGS:
+        rungs.append(run_rung(name))
+        print(json.dumps(rungs[-1]), flush=True)
+    cold = run_cold_start()
+    print(json.dumps(cold))
+    record = {"commit": _commit(), "python": platform.python_version(),
+              "machine": {"platform": platform.platform(), "processor": platform.machine(),
+                          "cpus": os.cpu_count()},
+              "rungs": rungs, "cold_start": cold}
+    (ROOT / "BENCH_ladder.json").write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -246,67 +246,66 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-# ---------------------------------------------------------------------------
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The top level with only the parser of argv's command, which argparse is
+    sure to take when only `--format X`, `--format=X` or `--one-based` precede
+    it; every command's parser for any other argv (`--help` too) and for None."""
+    command, tokens = None, iter(argv or ())
+    for token in tokens:
+        if token == "--format":
+            next(tokens, None)
+        elif token != "--one-based" and not token.startswith("--format="):
+            command = None if token.startswith("-") else token  # -h and the like
+            break
 
-
-def build_parser() -> argparse.ArgumentParser:
-    # The shared flags are accepted before or after the subcommand; SUPPRESS
-    # keeps the subparser from clobbering a value given up front.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--one-based", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="read and print vertex labels 1-based")
-    parser = argparse.ArgumentParser(
-        prog="graphburn", parents=[common],
-        description="Graph burnings, configuration complexes, burning homology.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_graph(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.add_argument("graph", help="file, builder expression, or edge-list text")
-        p.set_defaults(fn=fn)
+    def flags(p):  # before or after the command; SUPPRESS keeps a value given up front
+        p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
+        p.add_argument("--one-based", action="store_true", default=argparse.SUPPRESS,
+                       help="read and print vertex labels 1-based")
         return p
 
-    with_graph("burnings", cmd_burnings, help="list every burning of a graph")
-    with_graph("burning-number", cmd_burning_number,
-               help="minimum end time over all burnings")
-    p = with_graph("validate", cmd_validate,
-                   help="check a source sequence and print its time function")
-    p.add_argument("sources", help="comma-separated source sequence, e.g. 0,3")
-    with_graph("complex", cmd_complex,
-               help="facets of the burning configuration space")
-    p = with_graph("homology", cmd_homology,
-                   help="homology of the burning configuration space")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--coeff", default="z", metavar="z|q|p:N",
-                   help="coefficients: z (integers), q (rationals), "
-                        "p:N (integers mod N; N must be prime)")
-    p = with_graph("minimal-subgraphs", cmd_minimal_subgraphs,
-                   help="minimal subgraphs burned compatibly with a burning")
-    p.add_argument("sources")
-    p = sub.add_parser("witness", parents=[common],
-                       help="extremal path lengths with witnesses")
-    p.add_argument("kind", choices=tuple(_EXTREMAL_N))
-    p.add_argument("param", type=int)
-    p.set_defaults(fn=cmd_witness)
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the built-in verification checks")
-    p.add_argument("checks", nargs="*",
-                   help="check ids (default all); an unknown id lists the known ones")
-    p.add_argument("--quiet", action="store_true",
-                   help="omit failure details in text output")
-    p.set_defaults(fn=cmd_verify)
+    parser = flags(argparse.ArgumentParser(
+        prog="graphburn", description="Graph burnings, configuration complexes, burning homology."))
+    parser.set_defaults(format="text", one_based=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = []
+
+    def add(name, fn, help, graph=True):
+        names.append(name)
+        if command in (None, name):
+            p = flags(sub.add_parser(name, help=help))
+            if graph:
+                p.add_argument("graph", help="file, builder expression, or edge-list text")
+            p.set_defaults(fn=fn)  # read now, so that a patched handler is called
+            return p
+
+    add("burnings", cmd_burnings, "list every burning of a graph")
+    add("burning-number", cmd_burning_number, "minimum end time over all burnings")
+    if p := add("validate", cmd_validate, "check a source sequence and print its time function"):
+        p.add_argument("sources", help="comma-separated source sequence, e.g. 0,3")
+    add("complex", cmd_complex, "facets of the burning configuration space")
+    if p := add("homology", cmd_homology, "homology of the burning configuration space"):
+        p.add_argument("--reduced", action="store_true")
+        p.add_argument("--coeff", default="z", metavar="z|q|p:N", help="coefficients: z "
+                       "(integers), q (rationals), p:N (integers mod N; N must be prime)")
+    if p := add("minimal-subgraphs", cmd_minimal_subgraphs,
+                "minimal subgraphs burned compatibly with a burning"):
+        p.add_argument("sources")
+    if p := add("witness", cmd_witness, "extremal path lengths with witnesses", graph=False):
+        p.add_argument("kind", choices=tuple(_EXTREMAL_N))
+        p.add_argument("param", type=int)
+    if p := add("verify", cmd_verify, "run the built-in verification checks", graph=False):
+        p.add_argument("checks", nargs="*",
+                       help="check ids (default all); an unknown id lists the known ones")
+        p.add_argument("--quiet", action="store_true", help="omit failure details in text output")
+    if command not in names:
+        return parser if command is None else build_parser()
+    sub.metavar = "{" + ",".join(names) + "}"  # the usage line of the whole tree
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # SUPPRESS defaults in the shared flags: fill the fallbacks here.
-    args.format = getattr(args, "format", "text")
-    args.one_based = getattr(args, "one_based", False)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

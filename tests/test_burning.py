@@ -468,8 +468,8 @@ def test_listing_budget(monkeypatch):
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 10)
     with pytest.raises(SizeGuardExceeded, match="10 burnings"):
         enumerate_burnings(g)
-    # An extension lists completions of its prefix only, up to the first
-    # that extends.
+    # An extension builds one completion and lists nothing, so no listing
+    # budget refuses it.
     b_h = validate_burning(path_graph(1), (0,))
     assert admits_extension(b_h, validate_graph_map((4,), path_graph(1), g), g)
     monkeypatch.setattr(burning, "_LISTED_BURNINGS", 164)
@@ -491,10 +491,15 @@ def test_budgets_bound_every_search(monkeypatch):
 
 
 def test_extension_stops_at_the_first_completion(monkeypatch):
-    """6xP2 has 46,080 burnings; extending one source needs one of them."""
+    """6xP2 has 46,080 burnings; extending one source builds one completion
+    and neither lists nor searches them."""
+    def must_not_search(*args, **kwargs):
+        raise AssertionError("searched the burnings")
+
     g = iterated_sum(6, path_graph(2))
     b_h = validate_burning(path_graph(1), (0,))
-    monkeypatch.setattr(burning, "_LISTED_BURNINGS", 1)
+    monkeypatch.setattr(burning, "_burnings", must_not_search)
+    monkeypatch.setattr(burning, "_search", must_not_search)
     b_g = admits_extension(b_h, validate_graph_map((0,), path_graph(1), g), g)
     assert b_g.sources == (0, 2, 4, 6, 8, 10)
 

@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -16,9 +19,10 @@ from graphburning import (
     enumerate_burnings,
     parse_graph_text,
     path_graph,
+    source_sets,
 )
 from graphburning import burning, cli, verify
-from graphburning.cli import UsageError, load_graph, main, parse_sources
+from graphburning.cli import UsageError, build_parser, load_graph, main, parse_sources
 
 
 def run(capsys, *argv):
@@ -414,6 +418,22 @@ def test_survey_script_runs():
     assert re.search(r"burnings=\s*12 b=3 ", path5), path5
 
 
+def test_ladder_runs_its_smallest_rung():
+    """`scripts/ladder.py` times P10 in a fresh process, and a cold call."""
+    spec = importlib.util.spec_from_file_location(
+        "ladder", Path(__file__).parents[1] / "scripts" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    row = ladder.run_rung("P10")
+    # conf(P10) = Ind(P10): 16 maximal independent sets, contractible (Kozlov).
+    assert (row["rung"], row["facets"], row["cells_left"]) == ("P10", 16, 0)
+    assert row["source_sets"] == len(source_sets(path_graph(10)))
+    assert list(row["seconds"]) == [label for _, _, label in ladder.LAYERS]
+    assert row["peak_rss_mib"] > 0 and row["process_s"] > row["conf_s"]
+    cold = ladder.run_cold_start()
+    assert cold["process_s"] > cold["import_s"] + cold["parser_s"] + cold["work_s"] > 0
+
+
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):
     """Only refusals become usage errors: a stray KeyError propagates."""
     def bug(args):
@@ -422,3 +442,56 @@ def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):
     monkeypatch.setattr(cli, "cmd_complex", bug)
     with pytest.raises(KeyError, match="bug"):
         main(["complex", "path:3"])
+
+
+COMMANDS = ["burnings", "burning-number", "validate", "complex", "homology",
+            "minimal-subgraphs", "witness", "verify"]
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["bogus", "path:3"], ["bogus", "homology", "path:5"],
+    ["--format", "json", "homology", "path:5"], ["--format", "homology", "path:5"],
+    ["--format=json", "--one-based", "homology", "path:5"], ["--format", "-h", "homology"],
+    ["--format"], ["--one-based"], ["homology", "path:5", "--bogus"],
+    ["--form", "json", "homology", "path:5"], ["homology", "path:5", "--red"],
+    ["homology", "path:5", "--format", "xml"], ["--", "homology", "path:5"],
+    ["-5", "complex", "path:3"], ["burnings", "path:4", "--format", "json"],
+    ["burning-number"], ["validate", "path:5", "0,3", "--one-based"], ["validate", "path:5"],
+    ["complex", "path:3", "extra"], ["--one-based", "minimal-subgraphs", "path:5", "1,4"],
+    ["witness", "max-n-for-T", "3"], ["witness", "nope", "3"], ["witness", "max-n-for-T", "x"],
+    ["verify"], ["verify", "--quiet", "a", "b"], ["verify", "--qu", "--format", "json"],
+] + [[c, "-h"] for c in COMMANDS]
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_matches_the_whole_tree(argv):
+    """The parser built for argv parses it as every command's parser does:
+    the same namespace, or the same exit code, stdout and stderr."""
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def test_a_call_builds_only_its_own_commands_parser(capsys, monkeypatch):
+    """A guard on the cold start: the top level and one command, not all."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "homology", "path:3")[0] == 0
+    assert built == ["graphburn", "graphburn homology"]
+    built.clear()
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0 and "minimal-subgraphs" in capsys.readouterr().out
+    assert built == ["graphburn"] + [f"graphburn {c}" for c in COMMANDS]
