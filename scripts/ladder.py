@@ -14,8 +14,9 @@ pipeline order:
 - `maximal`: `complexes._maximal`, the facet absorption of
   `configuration_space` and of the strong core;
 - `strong_core`: `complexes._strong_core`;
-- `faces`, `boundaries`, `square_zero`: `complexes.faces`, the rest of
-  `homology.chain_complex`, and its boundary-squared check;
+- `faces`, `boundaries`, `square_zero`: `complexes._face_lattice`, which
+  builds every face of a complex once, the rest of `homology.chain_complex`,
+  and its boundary-squared check;
 - `coreduce`: `homology._coreduce`;
 - `smith`: `exactlinalg.smith_normal_form`.
 
@@ -44,7 +45,7 @@ RUNGS = ([(f"P{n}", f"path:{n}") for n in range(10, 21)] + [("P24", "path:24"), 
          + [(f"{k}xP2", f"sum:{k},path:2") for k in (5, 6, 7, 10, 11)]
          + [("cube", "cube"), ("corpus", None)])
 LAYERS = (("burning", "_search", "search"), ("complexes", "_maximal", "maximal"),
-          ("complexes", "_strong_core", "strong_core"), ("complexes", "faces", "faces"),
+          ("complexes", "_strong_core", "strong_core"), ("complexes", "_face_lattice", "faces"),
           ("homology", "chain_complex", "boundaries"),
           ("homology", "_assert_square_zero", "square_zero"),
           ("homology", "_coreduce", "coreduce"), ("exactlinalg", "smith_normal_form", "smith"))
@@ -113,7 +114,7 @@ def measure_rung(name: str) -> dict:
         core = complexes._strong_core(c)
         counts["source_sets"] += len(burning._search(g)[0])
         counts["facets"] += len(c.masks)
-        counts["cells"] += sum(len(complexes.faces(core, q)) for q in range(core.dimension + 1))
+        counts["cells"] += sum(map(len, core.lattice))
         counts["cells_left"] += sum(homology._reduction(c)[1])
     return dict(row, **counts)
 

@@ -404,7 +404,11 @@ class BurningMorphism:
 
 
 def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphism:
-    """Certify f as a morphism of burnings, deriving the time map tau."""
+    """Certify f as a morphism of burnings, deriving the time map tau.
+
+    Only a hand-built `Burning` raises `TauNotGraphMap`: in those built by
+    `validate_burning` sources map to sources, and every other vertex burning
+    at t has a neighbour burning at t - 1, so tau moves by at most one."""
     if f.domain != b_g.graph or f.codomain != b_h.graph:
         raise MorphismError("graph map endpoints do not match the burnings")
     k, m = len(b_g.sources), len(b_h.sources)

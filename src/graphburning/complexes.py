@@ -1,9 +1,9 @@
 """Finite abstract simplicial complexes stored by their facets.
 
 A complex is a vertex count plus the antichain of inclusion-maximal simplexes
-as vertex bitmasks (bit v set iff v is in the facet), a format no other module
-reads; `facets` views them as ascending tuples, and lower faces are derived on
-demand.  One routine (`_maximal`) keeps the maximal masks wherever an
+as vertex bitmasks (bit v set iff v is in the facet); `facets` views them as
+ascending tuples, and its face lattice (`lattice`), built once, holds every
+face as a mask.  One routine (`_maximal`) keeps the maximal masks wherever an
 antichain is built or checked.  The burning configuration space of a graph is
 the complex generated by the source sets of all its burnings, read straight
 off the masks of the memoised burning search.
@@ -12,8 +12,7 @@ off the masks of the memoised burning search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -48,6 +47,11 @@ class SimplicialComplex:
     def facets(self) -> frozenset[Simplex]:
         """The facets as ascending vertex tuples."""
         return frozenset(_vertices(m) for m in self.masks)
+
+    @cached_property
+    def lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Every face as a mask; lattice[q] holds the q-faces in lexicographic order."""
+        return _face_lattice(self.masks)
 
     @property
     def dimension(self) -> int:
@@ -85,6 +89,20 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return larger + same
 
 
+def _face_lattice(masks: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """Every face of the complex with these facets, one tuple per dimension in
+    lexicographic order, built from the top down: a level is the level above
+    with one vertex cleared from each face, plus the facets of that size."""
+    levels, level = [], set()
+    for size in range(max(map(int.bit_count, masks)), 0, -1):
+        level = {m ^ 1 << v for m in level for v in _vertices(m)}.union(
+            m for m in masks if m.bit_count() == size)
+        # Of two faces of one size, the lexicographically first holds the least
+        # vertex they do not share: its binary digits read from bit 0 compare larger.
+        levels.append(tuple(sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True)))
+    return tuple(reversed(levels))
+
+
 def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
     """The complex generated by arbitrary simplexes; non-maximal ones are absorbed."""
     masks: set[int] = set()
@@ -114,30 +132,21 @@ def is_burning_extension(embed: GraphMap) -> bool:
                for f in configuration_space(embed.domain).facets)
 
 
-# Bounded to hold every degree of the last few complexes.
-@lru_cache(maxsize=32)
 def faces(c: SimplicialComplex, q: int) -> tuple[Simplex, ...]:
-    """All q-dimensional faces in lexicographic order."""
+    """All q-dimensional faces in lexicographic order, read off the face
+    lattice; asking for any level builds every face of c, once per complex."""
     if q < 0:
         raise ComplexError("dimension must be >= 0")
-    out: set[Simplex] = set()
-    for f in c.facets:
-        if len(f) >= q + 1:
-            out.update(combinations(f, q + 1))
-    return tuple(sorted(out))
+    return tuple(map(_vertices, c.lattice[q])) if q < len(c.lattice) else ()
 
 
 def skeleton(c: SimplicialComplex, n: int) -> SimplicialComplex:
-    """The subcomplex of faces of dimension at most n."""
+    """The subcomplex of faces of dimension at most n: the smaller facets and
+    the n-faces of the lattice.  Like `faces`, it builds every face of c."""
     if n < 0:
         raise ComplexError("dimension must be >= 0")
-    masks: set[int] = set()
-    for m in c.masks:
-        if m.bit_count() <= n + 1:
-            masks.add(m)
-        else:
-            masks.update(sum(1 << v for v in s) for s in combinations(_vertices(m), n + 1))
-    return SimplicialComplex(c.vertex_count, frozenset(masks))
+    return SimplicialComplex(c.vertex_count, frozenset(
+        m for m in c.masks if m.bit_count() <= n).union(*c.lattice[n:n + 1]))
 
 
 def one_skeleton_graph(c: SimplicialComplex) -> Graph:

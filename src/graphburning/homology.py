@@ -1,9 +1,9 @@
 """Chain complexes of simplicial complexes and exact homology over Z and fields.
 
-Simplexes are stored with ascending vertices; the boundary of [u_0 < ... < u_q]
-is the alternating sum of its codimension-1 faces, sign (-1)^i for deleting
-u_i.  Each boundary is stored once, as sparse columns {face index: sign} on
-the lexicographic face bases, and every consumer reads that one form.
+The bases are the levels of the complex's face lattice, vertex bitmasks in
+lexicographic order; the boundary of [u_0 < ... < u_q] clears one bit at a
+time, sign (-1)^i for u_i.  Each boundary is stored once, as sparse columns
+{face index: sign} on those bases, and every consumer reads that one form.
 Before it builds any face, `homology()` strong-collapses the complex to its
 core (`complexes._strong_core`), which keeps the homotopy type (Barmak-Minian,
 Strong homotopy types, nerves and collapses, DCG 2012; on an independence
@@ -22,7 +22,7 @@ boundary-squared check, the coreduction and the Smith forms) is cached per
 complex, so every ring after the first, and the reduced groups, cost only the
 rank read-out.  Induced maps, which need cycles of the whole complex, and
 `matrix_rank_over` use the sparse field echelon; `euler_characteristic`
-counts the faces of the whole complex.
+counts the lattice levels of the whole complex.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
-from .complexes import SimplicialComplex, SimplicialMap, _strong_core, faces
+from .complexes import ComplexError, SimplicialComplex, SimplicialMap, _strong_core
 from .exactlinalg import (
     FieldEchelon,
     InvariantError,
@@ -41,6 +42,7 @@ from .exactlinalg import (
     apply_columns,
     smith_normal_form,
 )
+from .graphs import _vertices
 
 
 @dataclass(frozen=True)
@@ -64,24 +66,15 @@ class ChainComplexZ:
         return self.boundaries[q] if 0 <= q < len(self.boundaries) else []
 
 
-def boundary_of(simplex: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Codimension-1 faces of an ascending simplex with their signs."""
-    out = []
-    for i in range(len(simplex)):
-        face = simplex[:i] + simplex[i + 1:]
-        out.append((face, -1 if i % 2 else 1))
-    return out
-
-
 def chain_complex(c: SimplicialComplex, augmented: bool = False) -> ChainComplexZ:
-    """Build the sparse boundary columns on the canonical lexicographic face bases."""
-    bases = [faces(c, q) for q in range(c.dimension + 1)]
-    boundaries = [[{0: 1} if augmented else {} for _ in bases[0]]]
-    for lower, upper in zip(bases, bases[1:]):
-        index = {s: i for i, s in enumerate(lower)}
-        boundaries.append([{index[face]: sign for face, sign in boundary_of(simplex)}
-                           for simplex in upper])
-    cc = ChainComplexZ(tuple(len(b) for b in bases), tuple(boundaries), augmented)
+    """Build the sparse boundary columns on the levels of the face lattice."""
+    levels = c.lattice
+    boundaries = [[{0: 1} if augmented else {} for _ in levels[0]]]
+    for lower, upper in zip(levels, levels[1:]):
+        index = {m: i for i, m in enumerate(lower)}
+        boundaries.append([{index[m ^ 1 << v]: -1 if i % 2 else 1
+                            for i, v in enumerate(_vertices(m))} for m in upper])
+    cc = ChainComplexZ(tuple(map(len, levels)), tuple(boundaries), augmented)
     _assert_square_zero(cc)
     return cc
 
@@ -225,7 +218,7 @@ def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:
 
 
 def euler_characteristic(c: SimplicialComplex) -> int:
-    return sum((-1) ** q * len(faces(c, q)) for q in range(c.dimension + 1))
+    return sum((-1) ** q * len(level) for q, level in enumerate(c.lattice))
 
 
 def homology_to_record(groups: Sequence[HomologyGroup], coeff: str = "z") -> list[dict]:
@@ -250,27 +243,19 @@ def homology_to_record(groups: Sequence[HomologyGroup], coeff: str = "z") -> lis
 def chain_map_matrix(f: SimplicialMap, q: int) -> list[Vector]:
     """Degree-q chain map as sparse columns: image with orientation sign, 0 on
     collapsed simplexes."""
-    source = faces(f.domain, q) if q <= f.domain.dimension else ()
-    target = faces(f.codomain, q) if q <= f.codomain.dimension else ()
-    index = {s: i for i, s in enumerate(target)}
+    if q < 0:
+        raise ComplexError("dimension must be >= 0")
+    source, target = (c.lattice[q] if q < len(c.lattice) else ()
+                      for c in (f.domain, f.codomain))
+    index = {m: i for i, m in enumerate(target)}
     columns: list[Vector] = []
-    for simplex in source:
-        images = [f(v) for v in simplex]
-        if len(set(images)) < len(images):
-            columns.append({})
-        else:
-            columns.append({index[tuple(sorted(images))]: _permutation_sign(images)})
+    for m in source:
+        images = [f(v) for v in _vertices(m)]
+        image = sum(1 << v for v in set(images))
+        # The sign of the permutation that sorts the images: -1 per inversion.
+        columns.append({index[image]: (-1) ** sum(a > b for a, b in combinations(images, 2))}
+                       if image.bit_count() == len(images) else {})
     return columns
-
-
-def _permutation_sign(values: Sequence[int]) -> int:
-    sign = 1
-    items = list(values)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
 
 
 def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> list[list]:

@@ -1,9 +1,8 @@
 """Dense field elimination, evaluated literally, and unreduced homology.
 
 A test oracle for the sparse routines: boundaries and chain maps as dense
-row lists, `Fraction` or mod-p row reduction, and the rank, kernel and span
-solves built on it.  The elimination shares no code with
-`graphburning.exactlinalg`.
+row lists, and `Fraction` or mod-p row reduction with the rank read off it.
+The elimination shares no code with `graphburning.exactlinalg`.
 
 `unreduced_homology` is the oracle for the coreduction in `homology()`: the
 same Smith forms, taken on every boundary of the whole chain complex.
@@ -112,41 +111,6 @@ def field_rank(matrix: Sequence[Sequence[int]], ops: FieldOps) -> int:
     if not matrix or not matrix[0]:
         return 0
     return len(rref(matrix, ops)[1])
-
-
-def nullspace(matrix: Sequence[Sequence[int]], ops: FieldOps) -> list[list]:
-    """Basis column vectors of the kernel (each returned as a list)."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    if cols == 0:
-        return []
-    reduced, pivots = rref(matrix, ops)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [ops.convert(0)] * cols
-        vec[f] = ops.convert(1)
-        for r, c in enumerate(pivots):
-            vec[c] = ops.sub(ops.convert(0), reduced[r][f])
-        basis.append(vec)
-    return basis
-
-
-def solve_in_span(columns: list[list], target: list, ops: FieldOps) -> list | None:
-    """Coordinates of target in the span of the columns, or None."""
-    if not columns:
-        return [] if all(ops.is_zero(x) for x in target) else None
-    n = len(target)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(n)]
-    reduced, pivots = rref(aug, ops)
-    k = len(columns)
-    if k in pivots:
-        return None
-    coords = [ops.convert(0)] * k
-    for r, c in enumerate(pivots):
-        coords[c] = reduced[r][k]
-    return coords
 
 
 def unreduced_homology(c, reduced: bool = False, coeff: str = "z") -> list:

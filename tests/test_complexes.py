@@ -36,8 +36,11 @@ from graphburning import (
 )
 from graphburning.complexes import _strong_core
 from graphburning.graphs import Graph
+from graphburning.verify import named_graphs
 
+from admissible import admissible_faces
 from conftest import complexes, graphs
+from filtration import distances
 from strong_core import absorb_literally, strong_core_literally
 
 # Bit v of a facet mask is set iff vertex v is in the facet.
@@ -164,18 +167,6 @@ def test_faces_of_full_triangle():
     assert not HOLLOW_TRIANGLE.has_face((0, 1, 2))
 
 
-def test_faces_cache_is_bounded_and_reused():
-    faces.cache_clear()
-    spaces = [from_generators(n, [(v,) for v in range(n)]) for n in range(1, 41)]
-    for c in spaces:
-        faces(c, 0)
-    hits = faces.cache_info().hits
-    assert faces(spaces[-1], 0) == tuple((v,) for v in range(40))
-    info = faces.cache_info()
-    assert info.hits == hits + 1
-    assert info.currsize < len(spaces)
-
-
 def test_skeleton():
     assert skeleton(FULL_TRIANGLE, 1) == HOLLOW_TRIANGLE
     assert skeleton(FULL_TRIANGLE, 2) == FULL_TRIANGLE
@@ -222,10 +213,10 @@ def test_isolated_vertex_cones_and_detached_edge_suspends(g):
     assert configuration_space(disjoint_union(g, path_graph(2))) == join(base, S0)
 
 
-def _random_graph(rng, max_vertices):
+def _random_graph(rng, max_vertices, density=0.4):
     n = rng.randint(1, max_vertices)
     return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                if rng.random() < 0.4])
+                                if rng.random() < density])
 
 
 def test_configuration_space_of_a_disjoint_union_is_the_join():
@@ -276,6 +267,24 @@ def test_configuration_space_of_cube():
     c = configuration_space(cube_graph())
     assert c.dimension == 1
     assert one_skeleton_graph(c) == complement(cube_graph())
+
+
+def test_faces_are_the_admissible_sets():
+    # README, "Faces": a set is a face iff some ordering s_1..s_m has
+    # d(s_j, s_k) > k - j for all j < k.  The first and last sources of a
+    # face then lie at distance >= m, so a connected graph with two or more
+    # vertices has faces of at most diam(G) vertices.
+    rng = random.Random(20261020)
+    corpus = [g for _, g in named_graphs(7)]
+    corpus += [_random_graph(rng, 7, rng.random()) for _ in range(150)]
+    disconnected = 0
+    for g in corpus:
+        c = configuration_space(g)
+        assert [faces(c, q) for q in range(c.dimension + 1)] == admissible_faces(g), g
+        if classify(g).connected and g.vertex_count > 1:
+            assert c.dimension < max(map(max, distances(g))), g
+        disconnected += not classify(g).connected
+    assert disconnected > 30
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import itertools
 import os
 import random
@@ -21,10 +21,10 @@ from graphburning import (
     classify,
     compose_simplicial_maps,
     configuration_space,
-    cube_graph,
     cycle_graph,
     disjoint_union,
     euler_characteristic,
+    faces,
     from_generators,
     homology,
     induced_map,
@@ -32,6 +32,7 @@ from graphburning import (
     join,
     matrix_rank_over,
     path_graph,
+    skeleton,
     smith_normal_form,
     validate_simplicial_map,
 )
@@ -39,13 +40,15 @@ from graphburning.complexes import _strong_core
 from graphburning.exactlinalg import FieldEchelon, determinantal_divisor_snf
 from graphburning.graphs import Graph
 from graphburning.homology import (
+    _assert_square_zero,
     _coreduce,
     _reduction,
-    boundary_of,
     chain_map_matrix,
     homology_to_record,
 )
+from graphburning.verify import connected_corpus, named_graphs, random_graphs
 
+import face_tuples
 from conftest import complexes
 from elimination import (
     FieldOps,
@@ -53,9 +56,7 @@ from elimination import (
     dense_columns,
     field_rank,
     mat_mul,
-    nullspace,
     rref,
-    solve_in_span,
     unreduced_homology,
 )
 
@@ -153,25 +154,68 @@ def test_field_ops():
         FieldOps(6)
 
 
-def test_rref_and_nullspace():
+def test_rref_pivots():
     ops = FieldOps()
     m = [[1, 2, 3], [2, 4, 6]]
     _, pivots = rref(m, ops)
     assert pivots == [0]
     assert field_rank(m, ops) == 1
-    for vec in nullspace(m, ops):
-        assert all(sum(m[i][j] * vec[j] for j in range(3)) == 0 for i in range(2))
-    assert solve_in_span([[1, 0], [0, 1]], [3, 4], ops) == [3, 4]
-    assert solve_in_span([[1, 0]], [0, 1], ops) is None
 
 
 # ---------------------------------------------------------------------------
 # Chain complexes
 
 
-def test_boundary_signs():
-    assert boundary_of((0, 1, 2)) == [((1, 2), 1), ((0, 2), -1), ((0, 1), 1)]
-    assert boundary_of((4,)) == [((), 1)]
+def _assert_matches_tuple_route(c):
+    """`faces`, `skeleton`, the Euler characteristic and both chain complexes
+    equal the tuple route's, dims and every column."""
+    bases = face_tuples.levels(c)
+    assert [faces(c, q) for q in range(len(bases) + 1)] == bases + [()]
+    assert [skeleton(c, n).facets for n in range(len(bases))] == [
+        face_tuples.skeleton_facets(c, n) for n in range(len(bases))]
+    assert euler_characteristic(c) == face_tuples.euler_characteristic(c)
+    for augmented in (False, True):
+        cc = chain_complex(c, augmented)
+        assert cc.dims == tuple(map(len, bases))
+        assert list(cc.boundaries) == face_tuples.boundaries(c, augmented)
+
+
+def _survey_graphs():
+    """The benchmark's survey corpus for seed 1: 108 connected graphs on 8-10 vertices."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [Graph.from_edges(n, edges) for n, edges in workloads.survey_corpus(1)]
+
+
+TUPLE_ROUTE_GRAPHS = {
+    "verify": lambda: [g for _, g in named_graphs(8) + random_graphs(50, 7)
+                       + connected_corpus(6)],
+    "survey": _survey_graphs,
+    "paths-cycles": lambda: [f(n) for f in (path_graph, cycle_graph) for n in range(12, 21)],
+    "sums": lambda: [iterated_sum(k, path_graph(2)) for k in range(1, 9)],
+}
+
+
+def test_tuple_route_on_standard_complexes():
+    # The oracle's signs: deleting u_i gives (-1)^i.
+    assert face_tuples.boundary_of((0, 1, 2)) == [((1, 2), 1), ((0, 2), -1), ((0, 1), 1)]
+    assert face_tuples.boundary_of((4,)) == [((), 1)]
+    for c in (FULL_TRIANGLE, HOLLOW_TRIANGLE, TETRA_BOUNDARY, PROJECTIVE_PLANE, SCATTERED):
+        _assert_matches_tuple_route(c)
+
+
+@given(complexes())
+@settings(max_examples=60, deadline=None)
+def test_tuple_route_on_random_complexes(c):
+    _assert_matches_tuple_route(c)
+
+
+@pytest.mark.parametrize("family", TUPLE_ROUTE_GRAPHS)
+def test_tuple_route_on_configuration_spaces(family):
+    for g in TUPLE_ROUTE_GRAPHS[family]():
+        _assert_matches_tuple_route(configuration_space(g))
 
 
 def test_chain_complex_of_hollow_triangle():
@@ -190,19 +234,14 @@ def test_augmented_chain_complex():
     assert all(x == 0 for row in product for x in row)
 
 
-def test_square_zero_check_applies_the_augmentation(monkeypatch):
-    """conf(cube) has dimension 1, so only epsilon d_1 = 0 sees an edge
-    whose boundary has two +1 signs, augmented complex or not."""
-    c = configuration_space(cube_graph())
-    assert c.dimension == 1
-    chain_complex(c)
-    # The package exports the function `homology`, which hides the module.
-    homology_module = importlib.import_module("graphburning.homology")
-    monkeypatch.setattr(homology_module, "boundary_of", lambda simplex: [
-        (face, 1) for face, _ in boundary_of(simplex)])
+def test_square_zero_check_applies_the_augmentation():
+    """One edge has no d_1 d_2 to check, so only epsilon d_1 = 0 sees a
+    boundary with two +1 signs, augmented complex or not."""
     for augmented in (False, True):
+        vertices = [{0: 1} if augmented else {}] * 2
+        _assert_square_zero(ChainComplexZ((2, 1), (vertices, [{0: -1, 1: 1}]), augmented))
         with pytest.raises(InvariantError, match="nonzero out of degree 1"):
-            chain_complex(c, augmented=augmented)
+            _assert_square_zero(ChainComplexZ((2, 1), (vertices, [{0: 1, 1: 1}]), augmented))
 
 
 @given(complexes())

@@ -5,7 +5,32 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
 import graphburning
+from graphburning import (
+    Burning,
+    BurningError,
+    HomologyGroup,
+    InvariantError,
+    MorphismError,
+    SimplicialComplex,
+    SimplicialMapError,
+    TauNotGraphMap,
+    admits_extension,
+    compose_morphisms,
+    compose_simplicial_maps,
+    identity_map,
+    identity_morphism,
+    identity_simplicial_map,
+    is_b_burned,
+    path_graph,
+    validate_burning,
+    validate_graph_map,
+    validate_morphism,
+    validate_simplicial_map,
+    whole_graph,
+)
 
 
 def test_exports_resolve_once():
@@ -40,8 +65,7 @@ def test_every_cache_is_bounded():
                       for scope in scopes for obj in scope.values()
                       if hasattr(obj, "cache_parameters"))
     expected = {"graphburning.graphs._adjacency", "graphburning.graphs.path_graph",
-                "graphburning.burning._search", "graphburning.complexes.faces",
-                "graphburning.homology._reduction"}
+                "graphburning.burning._search", "graphburning.homology._reduction"}
     assert expected <= caches.keys()
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
 
@@ -60,3 +84,40 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+P2, P3 = path_graph(2), path_graph(3)
+B2, B3 = validate_burning(P2, (0,)), validate_burning(P3, (1,))
+POINT = SimplicialComplex(1, frozenset({0b1}))
+HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({0b011, 0b101, 0b110}))
+
+# Refusals that the other tests never reach, each with the error it raises.
+REFUSALS = {
+    # Only a hand-built burning lets tau jump; see `validate_morphism`.
+    "tau-not-graph-map": (lambda: validate_morphism(
+        identity_map(P2), B2, Burning(P2, (0,), (1, 3), 3)),
+        TauNotGraphMap, "tau jumps from 1 to 3"),
+    "morphisms-do-not-compose": (lambda: compose_morphisms(
+        identity_morphism(B2), identity_morphism(B3)), MorphismError, "do not compose"),
+    "subgraph-of-another-graph": (lambda: is_b_burned(whole_graph(P3), B2),
+                                  BurningError, "does not live in the burned graph"),
+    "extension-endpoints": (lambda: admits_extension(B2, identity_map(P2), P3),
+                            BurningError, "endpoints do not match"),
+    "extension-not-injective": (lambda: admits_extension(
+        B2, validate_graph_map((0, 0), P2, P2), P2), BurningError, "must be injective"),
+    "simplicial-image-out-of-range": (lambda: validate_simplicial_map(
+        (0, 5, 1), HOLLOW_TRIANGLE, HOLLOW_TRIANGLE), SimplicialMapError,
+        "image vertex 5 out of range"),
+    "simplicial-maps-do-not-compose": (lambda: compose_simplicial_maps(
+        identity_simplicial_map(POINT), identity_simplicial_map(HOLLOW_TRIANGLE)),
+        SimplicialMapError, "do not compose"),
+    "negative-free-rank": (lambda: HomologyGroup(-1), InvariantError, "bad homology group"),
+    "torsion-one": (lambda: HomologyGroup(0, (1,)), InvariantError, "bad homology group"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals_raise(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
