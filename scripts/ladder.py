@@ -21,7 +21,9 @@ pipeline order:
 - `smith`: `exactlinalg.smith_normal_form`.
 
 One more row times a fresh `graphburn homology path:14`, split into the
-package import, the parser (build and parse) and the work.  The results go
+package import, the parser (build and parse) and the work, in seven fresh
+processes, with the median, min and max of each stage: a single cold process
+strays by 20-40%, past most changes worth measuring.  The results go
 to `BENCH_ladder.json` at the repository root, with the commit, the Python
 version and the machine.  The whole ladder takes about a minute.
 """
@@ -33,6 +35,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +53,7 @@ LAYERS = (("burning", "_search", "search"), ("complexes", "_maximal", "maximal")
           ("homology", "_assert_square_zero", "square_zero"),
           ("homology", "_coreduce", "coreduce"), ("exactlinalg", "smith_normal_form", "smith"))
 COLD_ARGV = ["homology", "path:14"]
+COLD_RUNS = 7
 
 
 def _install_timers(seconds: dict) -> None:
@@ -151,10 +155,16 @@ def run_rung(name: str) -> dict:
 
 
 def run_cold_start() -> dict:
-    done, wall = fresh(COLD_START)
-    stages = [round(float(x), 4) for x in done.stderr.split()]
-    return dict(zip(("import_s", "parser_s", "work_s"), stages), argv=COLD_ARGV,
-                process_s=wall)
+    """The cold call in `COLD_RUNS` fresh processes: each stage's median, min and max."""
+    runs = []
+    for _ in range(COLD_RUNS):
+        done, wall = fresh(COLD_START)
+        runs.append([float(x) for x in done.stderr.split()] + [wall])
+    stages = {name: {"median": round(statistics.median(times), 4),
+                     "min": round(min(times), 4), "max": round(max(times), 4)}
+              for name, times in zip(("import_s", "parser_s", "work_s", "process_s"),
+                                     zip(*runs))}
+    return dict(stages, argv=COLD_ARGV, runs=COLD_RUNS)
 
 
 def _commit() -> str:

@@ -28,7 +28,7 @@ count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -103,10 +103,10 @@ def check_sources(g: Graph, sources: Sequence[int]) -> tuple[int, ...]:
     return s
 
 
-@dataclass(frozen=True)
-class Burning:
+class Burning(namedtuple("Burning", "graph sources times end_time")):
     """A validated burning: sources, per-vertex burning times, end time."""
 
+    __slots__ = ()
     graph: Graph
     sources: tuple[int, ...]
     times: tuple[int, ...]
@@ -389,10 +389,11 @@ class TauNotGraphMap(MorphismError):
     pass
 
 
-@dataclass(frozen=True)
-class BurningMorphism:
+class BurningMorphism(namedtuple("BurningMorphism",
+                                 "graph_map domain codomain tau tau_is_inclusion")):
     """A graph map commuting with the time functions through a path-graph map."""
 
+    __slots__ = ()
     graph_map: GraphMap
     domain: Burning
     codomain: Burning
@@ -406,9 +407,10 @@ class BurningMorphism:
 def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphism:
     """Certify f as a morphism of burnings, deriving the time map tau.
 
-    Only a hand-built `Burning` raises `TauNotGraphMap`: in those built by
-    `validate_burning` sources map to sources, and every other vertex burning
-    at t has a neighbour burning at t - 1, so tau moves by at most one."""
+    Only a hand-built `Burning` raises `TauNotGraphMap`, or skips a time,
+    which a `MorphismError` names: in those built by `validate_burning`
+    sources map to sources, and every other vertex burning at t has a
+    neighbour burning at t - 1, so tau moves by at most one."""
     if f.domain != b_g.graph or f.codomain != b_h.graph:
         raise MorphismError("graph map endpoints do not match the burnings")
     k, m = len(b_g.sources), len(b_h.sources)
@@ -419,8 +421,8 @@ def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphis
             raise PrefixMismatch(
                 f"source {i + 1} maps to {f(b_g.sources[i])}, "
                 f"expected {b_h.sources[i]}")
-    # tau(t) := time of f(v) for any v burning at time t; the time function is
-    # surjective, so this pins tau completely once it is well defined.
+    # tau(t) := time of f(v) for any v burning at time t; the time function of
+    # a validated burning is surjective, so this pins tau once it is well defined.
     tau: list[int | None] = [None] * b_g.end_time
     for v in b_g.graph.vertices:
         t = b_g.time(v)
@@ -430,7 +432,9 @@ def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphis
         elif tau[t - 1] != image_t:
             raise TauIllDefined(
                 f"time {t} maps to both {tau[t - 1]} and {image_t}")
-    fixed = tuple(int(t) for t in tau)  # surjectivity guarantees no None
+    if None in tau:  # only a hand-built burning skips a time
+        raise MorphismError(f"no vertex burns at time {tau.index(None) + 1}")
+    fixed = tuple(tau)
     for a, b in zip(fixed, fixed[1:]):
         if abs(a - b) > 1:
             raise TauNotGraphMap(f"tau jumps from {a} to {b}")
@@ -579,8 +583,8 @@ def admits_extension(b_h: Burning, embed: GraphMap, g: Graph) -> Burning | None:
 # Extremal path burnings
 
 
-@dataclass(frozen=True)
-class ExtremalPathReport:
+class ExtremalPathReport(namedtuple("ExtremalPathReport", "kind param n witness burning")):
+    __slots__ = ()
     kind: str
     param: int
     n: int

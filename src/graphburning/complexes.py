@@ -11,7 +11,7 @@ off the masks of the memoised burning search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -26,22 +26,26 @@ class ComplexError(ValueError):
     """Invalid simplicial complex data."""
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(namedtuple("SimplicialComplex", "vertex_count masks")):
+    # No __slots__: the instance dict holds the cached facets and lattice.
     vertex_count: int
     masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", frozenset(self.masks))
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count: int, masks: Iterable[int]) -> "SimplicialComplex":
+        masks = frozenset(masks)
+        if vertex_count < 1:
             raise ComplexError("complex needs at least one vertex")
-        if 0 in self.masks:
+        if 0 in masks:
             raise ComplexError("empty facet")
         # Out-of-range bits and uncovered vertices both break this equality.
-        if reduce(or_, self.masks, 0) != (1 << self.vertex_count) - 1:
-            raise ComplexError(f"facets must cover exactly 0..{self.vertex_count - 1}")
-        if len(_maximal(self.masks)) != len(self.masks):
+        if reduce(or_, masks, 0) != (1 << vertex_count) - 1:
+            raise ComplexError(f"facets must cover exactly 0..{vertex_count - 1}")
+        if len(_maximal(masks)) != len(masks):
             raise ComplexError("facets must form an antichain")
+        return tuple.__new__(cls, (vertex_count, masks))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an immutable complex")
 
     @cached_property
     def facets(self) -> frozenset[Simplex]:
@@ -208,8 +212,8 @@ class SimplicialMapError(ValueError):
         self.facet = facet
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+class SimplicialMap(namedtuple("SimplicialMap", "domain codomain vertex_fn")):
+    __slots__ = ()
     domain: SimplicialComplex
     codomain: SimplicialComplex
     vertex_fn: tuple[int, ...]

@@ -12,10 +12,9 @@ for prime fields) serves induced maps and `matrix_rank_over`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from math import gcd
 
 Vector = dict[int, int]
 
@@ -33,18 +32,19 @@ def apply_columns(columns: Sequence[Mapping[int, int]], vector: Mapping) -> dict
     return {i: x for i, x in out.items() if x}
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "diagonal rank")):
     """Diagonal d_1 | d_2 | ... of positive integers; rank = its length."""
 
+    __slots__ = ()
     diagonal: tuple[int, ...]
     rank: int
 
-    def __post_init__(self) -> None:
-        if any(b % a for a, b in zip(self.diagonal, self.diagonal[1:])):
-            raise InvariantError(f"divisibility chain broken: {self.diagonal}")
-        if self.rank != len(self.diagonal):
-            raise InvariantError(f"rank {self.rank} != diagonal length {len(self.diagonal)}")
+    def __new__(cls, diagonal: tuple[int, ...], rank: int) -> "SmithForm":
+        if any(b % a for a, b in zip(diagonal, diagonal[1:])):
+            raise InvariantError(f"divisibility chain broken: {diagonal}")
+        if rank != len(diagonal):
+            raise InvariantError(f"rank {rank} != diagonal length {len(diagonal)}")
+        return tuple.__new__(cls, (diagonal, rank))
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int] | Mapping[int, int]]) -> SmithForm:
@@ -165,10 +165,13 @@ class FieldEchelon:
     def __init__(self, p: int = 0):
         self.p = p
         self.rows: dict[int, tuple[dict, dict]] = {}
+        if not p:  # imported on demand: only rational entries need it
+            from fractions import Fraction
+            self.fraction = Fraction
 
     def _convert(self, vector: Mapping, factor=1) -> dict:
         p = self.p
-        entries = ((k, x * factor % p if p else Fraction(x * factor))
+        entries = ((k, x * factor % p if p else self.fraction(x * factor))
                    for k, x in vector.items())
         return {k: x for k, x in entries if x}
 

@@ -1,7 +1,9 @@
 """Finite simple undirected graphs and the constructions the burning theory uses.
 
 Vertices are the contiguous integers 0..vertex_count-1.  Edges are stored as a
-frozenset of sorted pairs, so graphs are hashable and safe to share.
+frozenset of sorted pairs, so graphs are hashable and safe to share.  Like
+every record of the package, a graph is an immutable named tuple: its fields
+compare, hash, pickle and print as a tuple's do.
 `classify` is the one traversal; the burned region is modelled once, on
 bitmasks, by `burning._expand`.  The literal model of the paper (distances,
 balls N_r[v], their induced unions) lives only in the test oracle
@@ -10,9 +12,8 @@ balls N_r[v], their induced unions) lives only in the test oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from inspect import signature
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -29,20 +30,21 @@ def _normalize_edge(v: int, w: int) -> Edge:
     return (v, w) if v < w else (w, v)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "vertex_count edges")):
     """A finite simple undirected graph on vertices 0..vertex_count-1."""
 
+    __slots__ = ()
     vertex_count: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count: int, edges: Iterable[Edge] = frozenset()) -> "Graph":
+        edges = frozenset(edges)
+        if vertex_count < 1:
             raise GraphError("graph needs at least one vertex")
-        for v, w in self.edges:
-            if not (0 <= v < w < self.vertex_count):
-                raise GraphError(f"bad edge ({v}, {w}) for {self.vertex_count} vertices")
+        for v, w in edges:
+            if not (0 <= v < w < vertex_count):
+                raise GraphError(f"bad edge ({v}, {w}) for {vertex_count} vertices")
+        return tuple.__new__(cls, (vertex_count, edges))
 
     @staticmethod
     def from_edges(vertex_count: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -82,27 +84,28 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(namedtuple("Subgraph", "ambient vertices edges")):
     """A subgraph of an ambient graph: explicit vertex set and edge subset."""
 
+    __slots__ = ()
     ambient: Graph
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        vs = set(self.vertices)
-        if list(self.vertices) != sorted(vs):
+    def __new__(cls, ambient: Graph, vertices: Iterable[int],
+                edges: Iterable[Edge]) -> "Subgraph":
+        vertices, edges = tuple(vertices), frozenset(edges)
+        vs = set(vertices)
+        if list(vertices) != sorted(vs):
             raise GraphError("subgraph vertices must be sorted and duplicate-free")
         if not vs:
             raise GraphError("subgraph needs at least one vertex")
-        for e in self.edges:
-            if e not in self.ambient.edges:
+        for e in edges:
+            if e not in ambient.edges:
                 raise GraphError(f"edge {e} not in the ambient graph")
             if e[0] not in vs or e[1] not in vs:
                 raise GraphError(f"edge {e} leaves the subgraph vertex set")
+        return tuple.__new__(cls, (ambient, vertices, edges))
 
     def is_induced(self) -> bool:
         vs = set(self.vertices)
@@ -203,14 +206,15 @@ def iterated_sum(n: int, g: Graph) -> Graph:
     return out
 
 
-_FAMILIES: dict[str, Callable[..., Graph]] = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "edgeless": edgeless_graph,
-    "complete_bipartite": complete_bipartite_graph,
-    "bipartite": complete_bipartite_graph,
-    "cube": cube_graph,
+# Each family's builder with its parameter names, which a refusal spells out.
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "edgeless": (edgeless_graph, ("n",)),
+    "complete_bipartite": (complete_bipartite_graph, ("n", "m")),
+    "bipartite": (complete_bipartite_graph, ("n", "m")),
+    "cube": (cube_graph, ()),
 }
 
 
@@ -223,10 +227,9 @@ def build_named(family: str, *params: int) -> Graph:
     if family == "iterated_sum":
         raise GraphError("use iterated_sum(k, g) directly")
     try:
-        builder = _FAMILIES[family]
+        builder, names = _FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown graph family {family!r}") from None
-    names = list(signature(builder).parameters)
     if len(params) != len(names):
         form = f"{family}:" + ",".join(f"<{name}>" for name in names) if names else family
         raise GraphError(f"bad parameters for {family!r}: expected {form}, "
@@ -244,8 +247,8 @@ def complement(g: Graph) -> Graph:
     return Graph(g.vertex_count, edges)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(namedtuple("StructureReport", "connected tree bipartite components")):
+    __slots__ = ()
     connected: bool
     tree: bool
     bipartite: bool
@@ -295,10 +298,10 @@ class GraphMapError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class GraphMap:
+class GraphMap(namedtuple("GraphMap", "domain codomain vertex_fn is_homomorphism")):
     """A graph map: every edge maps to an edge or collapses to a vertex."""
 
+    __slots__ = ()
     domain: Graph
     codomain: Graph
     vertex_fn: tuple[int, ...]

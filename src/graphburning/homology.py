@@ -27,9 +27,7 @@ counts the lattice levels of the whole complex.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -45,8 +43,7 @@ from .exactlinalg import (
 from .graphs import _vertices
 
 
-@dataclass(frozen=True)
-class ChainComplexZ:
+class ChainComplexZ(namedtuple("ChainComplexZ", "dims boundaries augmented")):
     """Integer chain complex; boundaries[q] maps degree q to degree q-1.
 
     boundaries[q][j] is the boundary of the j-th q-face as a sparse column
@@ -54,6 +51,7 @@ class ChainComplexZ:
     every vertex's column is {0: 1}.
     """
 
+    __slots__ = ()
     dims: tuple[int, ...]
     boundaries: tuple[list[Vector], ...]
     augmented: bool
@@ -88,18 +86,19 @@ def _assert_square_zero(cc: ChainComplexZ) -> None:
             raise InvariantError(f"boundary squared is nonzero out of degree {q}")
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
     """Free rank (Betti number) plus torsion coefficients in divisibility order."""
 
+    __slots__ = ()
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0 or any(t <= 1 for t in self.torsion):
-            raise InvariantError(f"bad homology group {self.free_rank}, {self.torsion}")
-        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
-            raise InvariantError(f"torsion {self.torsion} not in divisibility order")
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()) -> "HomologyGroup":
+        if free_rank < 0 or any(t <= 1 for t in torsion):
+            raise InvariantError(f"bad homology group {free_rank}, {torsion}")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise InvariantError(f"torsion {torsion} not in divisibility order")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @property
     def is_trivial(self) -> bool:
@@ -281,6 +280,8 @@ def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> list[list]:
     _, cycles = _homology_basis(src_cc, degree, p)
     span, target_cycles = _homology_basis(dst_cc, degree, p)
     cm = chain_map_matrix(f, degree)
+    if not p:  # imported on demand, as by `FieldEchelon`
+        from fractions import Fraction
     # Rows indexed by the target basis, columns by the source basis.
     matrix = [[0 if p else Fraction(0)] * len(cycles) for _ in target_cycles]
     for j, cycle in enumerate(cycles):

@@ -11,7 +11,7 @@ import math
 import random
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 from pathlib import Path
@@ -52,13 +52,18 @@ from .homology import HomologyGroup, chain_complex, euler_characteristic, homolo
 RANDOM_SEED = 20250826
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "check_id statement status details elapsed_s")):
+    __slots__ = ()
     check_id: str
     statement: str
     status: str  # "pass" | "fail" | "skipped"
-    details: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0  # wall-clock seconds, set by run_checks
+    details: dict
+    elapsed_s: float  # wall-clock seconds, set by run_checks
+
+    def __new__(cls, check_id: str, statement: str, status: str,
+                details: dict | None = None, elapsed_s: float = 0.0) -> "CheckResult":
+        details = {} if details is None else details  # a fresh dict per result
+        return tuple.__new__(cls, (check_id, statement, status, details, elapsed_s))
 
     def to_record(self) -> dict:
         return {"check_id": self.check_id, "statement": self.statement,
@@ -66,8 +71,8 @@ class CheckResult:
                 "elapsed_s": self.elapsed_s}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    __slots__ = ()
     checks: tuple[CheckResult, ...]
 
     @property
@@ -476,5 +481,5 @@ def run_checks(check_ids: list[str] | None = None) -> VerificationReport:
             result = CheckResult(cid, f"raised {type(exc).__name__}", "fail", {
                 "error": type(exc).__name__, "message": str(exc),
                 "at": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"})
-        results.append(replace(result, elapsed_s=round(time.perf_counter() - start, 3)))
+        results.append(result._replace(elapsed_s=round(time.perf_counter() - start, 3)))
     return VerificationReport(tuple(results))

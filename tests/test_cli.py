@@ -431,7 +431,10 @@ def test_ladder_runs_its_smallest_rung():
     assert list(row["seconds"]) == [label for _, _, label in ladder.LAYERS]
     assert row["peak_rss_mib"] > 0 and row["process_s"] > row["conf_s"]
     cold = ladder.run_cold_start()
-    assert cold["process_s"] > cold["import_s"] + cold["parser_s"] + cold["work_s"] > 0
+    stages = [cold[name] for name in ("import_s", "parser_s", "work_s", "process_s")]
+    assert cold["runs"] == 7 and all(s["min"] <= s["median"] <= s["max"] for s in stages)
+    # Each process outlasts its own stages, so the shortest outlasts the shortest stages.
+    assert stages[3]["min"] > sum(s["min"] for s in stages[:3]) > 0
 
 
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):

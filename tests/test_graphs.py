@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -26,7 +27,7 @@ from graphburning import (
     validate_graph_map,
     whole_graph,
 )
-from graphburning.graphs import _adjacency, components, format_graph_text
+from graphburning.graphs import _FAMILIES, _adjacency, components, format_graph_text
 
 from conftest import graphs
 from filtration import FiltrationState, distances, filtration
@@ -63,6 +64,12 @@ def test_build_named_families():
         build_named("bipartite", 2)
     with pytest.raises(GraphError, match=r"expected cube, got 1 parameter$"):
         build_named("cube", 3)
+
+
+def test_family_table_names_each_builders_parameters():
+    """`build_named` reads the names from its table; they must match the code."""
+    for family, (builder, names) in _FAMILIES.items():
+        assert tuple(inspect.signature(builder).parameters) == names, family
 
 
 def test_edge_normalization():

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
+import pickle
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import graphburning
 from graphburning import (
     Burning,
     BurningError,
+    Graph,
     HomologyGroup,
     InvariantError,
     MorphismError,
@@ -18,19 +22,24 @@ from graphburning import (
     SimplicialMapError,
     TauNotGraphMap,
     admits_extension,
+    chain_complex,
+    classify,
     compose_morphisms,
     compose_simplicial_maps,
+    extremal_path_report,
     identity_map,
     identity_morphism,
     identity_simplicial_map,
     is_b_burned,
     path_graph,
+    smith_normal_form,
     validate_burning,
     validate_graph_map,
     validate_morphism,
     validate_simplicial_map,
     whole_graph,
 )
+from graphburning.verify import CheckResult, VerificationReport
 
 
 def test_exports_resolve_once():
@@ -86,17 +95,33 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    """Every call pays the package import, so it leaves out these modules:
+    records are named tuples, and only rational arithmetic imports fractions."""
+    package = Path(graphburning.__file__).parent
+    names = [f"graphburning.{info.name}" for info in pkgutil.iter_modules([str(package)])
+             if info.name != "__main__"]  # runs the CLI on import
+    code = ("import sys\nbefore = set(sys.modules)\n"
+            + "".join(f"import {name}\n" for name in names)
+            + "print(*sorted(set(sys.modules) - before))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(package.parent)))
+    added = done.stdout.split()
+    assert set(names) <= set(added)
+    assert {"dataclasses", "inspect", "fractions"}.isdisjoint(added)
+
+
 P2, P3 = path_graph(2), path_graph(3)
 B2, B3 = validate_burning(P2, (0,)), validate_burning(P3, (1,))
 POINT = SimplicialComplex(1, frozenset({0b1}))
 HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({0b011, 0b101, 0b110}))
+SKIPS_TIME_2 = Burning(P2, (0,), (1, 3), 3)  # hand-built: no vertex burns at time 2
 
 # Refusals that the other tests never reach, each with the error it raises.
 REFUSALS = {
     # Only a hand-built burning lets tau jump; see `validate_morphism`.
-    "tau-not-graph-map": (lambda: validate_morphism(
-        identity_map(P2), B2, Burning(P2, (0,), (1, 3), 3)),
-        TauNotGraphMap, "tau jumps from 1 to 3"),
+    "tau-not-graph-map": (lambda: validate_morphism(identity_map(P2), B2, SKIPS_TIME_2),
+                          TauNotGraphMap, "tau jumps from 1 to 3"),
     "morphisms-do-not-compose": (lambda: compose_morphisms(
         identity_morphism(B2), identity_morphism(B3)), MorphismError, "do not compose"),
     "subgraph-of-another-graph": (lambda: is_b_burned(whole_graph(P3), B2),
@@ -111,6 +136,8 @@ REFUSALS = {
     "simplicial-maps-do-not-compose": (lambda: compose_simplicial_maps(
         identity_simplicial_map(POINT), identity_simplicial_map(HOLLOW_TRIANGLE)),
         SimplicialMapError, "do not compose"),
+    "time-skipped": (lambda: validate_morphism(identity_map(P2), SKIPS_TIME_2, SKIPS_TIME_2),
+                     MorphismError, "no vertex burns at time 2"),
     "negative-free-rank": (lambda: HomologyGroup(-1), InvariantError, "bad homology group"),
     "torsion-one": (lambda: HomologyGroup(0, (1,)), InvariantError, "bad homology group"),
 }
@@ -121,3 +148,49 @@ def test_refusals_raise(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+# One valid instance of each record class, built afresh by each call.
+RECORDS = [
+    lambda: Graph(2, {(0, 1)}),
+    lambda: whole_graph(P3),
+    lambda: classify(P3),
+    lambda: identity_map(P2),
+    lambda: validate_burning(P3, (1,)),
+    lambda: identity_morphism(B2),
+    lambda: extremal_path_report("min-n-for-k", 2),
+    lambda: SimplicialComplex(3, frozenset({0b011, 0b101, 0b110})),
+    lambda: identity_simplicial_map(HOLLOW_TRIANGLE),
+    lambda: smith_normal_form([[2, 0], [0, 3]]),
+    lambda: chain_complex(HOLLOW_TRIANGLE),
+    lambda: HomologyGroup(1, (2,)),
+    lambda: CheckResult("id", "statement", "pass", {"n": 1}),
+    lambda: VerificationReport((CheckResult("id", "statement", "pass"),)),
+]
+# Those holding lists or dicts hash as a tuple of them does: not at all.
+UNHASHABLE = {"ChainComplexZ", "CheckResult", "VerificationReport"}
+
+
+@pytest.mark.parametrize("make", RECORDS, ids=lambda make: type(make()).__name__)
+def test_records_are_immutable_named_tuples(make):
+    record, twin = make(), make()
+    assert record is not twin and record == twin == tuple(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], twin[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1  # SimplicialComplex has a dict, for its caches, yet refuses too
+    if type(record).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+
+
+def test_record_repr_and_defaults():
+    assert repr(path_graph(2)) == "Graph(vertex_count=2, edges=frozenset({(0, 1)}))"
+    assert Graph(3).edges == frozenset() and HomologyGroup(2).torsion == ()
+    first, second = CheckResult("a", "b", "pass"), CheckResult("a", "b", "pass")
+    assert first.details == {} and first.details is not second.details
+    assert first.elapsed_s == 0.0
