@@ -3,16 +3,17 @@
 
     python3 scripts/ladder.py
 
-Each rung runs in a fresh interpreter: `configuration_space(g)`, then
-`homology(c, reduced=True)`, with the self time of each layer (a wrapped
-layer's time minus the time of the wrapped layers it calls), the peak RSS
-and the counts: source sets, facets, the cells of the strong core that
-homology builds, and the cells left after coreduction.  The layers, in
-pipeline order:
+Each rung runs in `RUNG_RUNS` fresh interpreters: `configuration_space(g)`,
+then `homology(c, reduced=True)`, with the self time of each layer (a
+wrapped layer's time minus the time of the wrapped layers it calls), the
+peak RSS and the counts: source sets, facets, the cells of the strong core
+that homology builds, and the cells left after coreduction.  A rung's row
+holds the counts and the median, min and max over its runs of every time
+and of the peak RSS.  The layers, in pipeline order:
 
 - `search`: `burning._search`, the burning search;
-- `maximal`: `complexes._maximal`, the facet absorption of
-  `configuration_space` and of the strong core;
+- `maximal`: `complexes._maximal`, the facet absorption of the complex
+  constructor, run on `configuration_space` and on the strong core;
 - `strong_core`: `complexes._strong_core`;
 - `faces`, `boundaries`, `square_zero`: `complexes._face_lattice`, which
   builds every face of a complex once, the rest of `homology.chain_complex`,
@@ -22,10 +23,10 @@ pipeline order:
 
 One more row times a fresh `graphburn homology path:14`, split into the
 package import, the parser (build and parse) and the work, in seven fresh
-processes, with the median, min and max of each stage: a single cold process
+processes, with the median, min and max of each stage: a single process
 strays by 20-40%, past most changes worth measuring.  The results go
 to `BENCH_ladder.json` at the repository root, with the commit, the Python
-version and the machine.  The whole ladder takes about a minute.
+version and the machine.  The whole ladder takes about three minutes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ LAYERS = (("burning", "_search", "search"), ("complexes", "_maximal", "maximal")
           ("homology", "chain_complex", "boundaries"),
           ("homology", "_assert_square_zero", "square_zero"),
           ("homology", "_coreduce", "coreduce"), ("exactlinalg", "smith_normal_form", "smith"))
+RUNG_RUNS = 3
 COLD_ARGV = ["homology", "path:14"]
 COLD_RUNS = 7
 
@@ -148,10 +150,25 @@ def fresh(code: str) -> tuple[subprocess.CompletedProcess, float]:
     return done, round(time.perf_counter() - start, 4)
 
 
+def _spread(values: list[float]) -> dict:
+    return {"median": round(statistics.median(values), 4),
+            "min": round(min(values), 4), "max": round(max(values), 4)}
+
+
 def run_rung(name: str) -> dict:
-    """One rung in a fresh interpreter, with that process's wall time."""
-    done, wall = fresh(f"import json, ladder; print(json.dumps(ladder.measure_rung({name!r})))")
-    return dict(json.loads(done.stdout), process_s=wall)
+    """One rung in `RUNG_RUNS` fresh interpreters, each with its wall time:
+    the counts (ints, the same in every run) and the spread of each float."""
+    runs = []
+    for _ in range(RUNG_RUNS):
+        done, wall = fresh(f"import json, ladder; print(json.dumps(ladder.measure_rung({name!r})))")
+        runs.append(dict(json.loads(done.stdout), process_s=wall))
+    row = {}
+    for key, value in runs[0].items():
+        if key == "seconds":
+            row[key] = {label: _spread([r[key][label] for r in runs]) for label in value}
+        else:
+            row[key] = _spread([r[key] for r in runs]) if isinstance(value, float) else value
+    return dict(row, runs=RUNG_RUNS)
 
 
 def run_cold_start() -> dict:
@@ -160,10 +177,8 @@ def run_cold_start() -> dict:
     for _ in range(COLD_RUNS):
         done, wall = fresh(COLD_START)
         runs.append([float(x) for x in done.stderr.split()] + [wall])
-    stages = {name: {"median": round(statistics.median(times), 4),
-                     "min": round(min(times), 4), "max": round(max(times), 4)}
-              for name, times in zip(("import_s", "parser_s", "work_s", "process_s"),
-                                     zip(*runs))}
+    stages = {name: _spread(times) for name, times in
+              zip(("import_s", "parser_s", "work_s", "process_s"), zip(*runs))}
     return dict(stages, argv=COLD_ARGV, runs=COLD_RUNS)
 
 

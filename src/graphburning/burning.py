@@ -407,10 +407,10 @@ class BurningMorphism(namedtuple("BurningMorphism",
 def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphism:
     """Certify f as a morphism of burnings, deriving the time map tau.
 
-    Only a hand-built `Burning` raises `TauNotGraphMap`, or skips a time,
-    which a `MorphismError` names: in those built by `validate_burning`
-    sources map to sources, and every other vertex burning at t has a
-    neighbour burning at t - 1, so tau moves by at most one."""
+    Only a hand-built `Burning` raises `TauNotGraphMap`, skips a time or has
+    one outside 1..end_time, which a `MorphismError` names: in those built by
+    `validate_burning` sources map to sources, and every other vertex burning
+    at t has a neighbour burning at t - 1, so tau moves by at most one."""
     if f.domain != b_g.graph or f.codomain != b_h.graph:
         raise MorphismError("graph map endpoints do not match the burnings")
     k, m = len(b_g.sources), len(b_h.sources)
@@ -426,6 +426,8 @@ def validate_morphism(f: GraphMap, b_g: Burning, b_h: Burning) -> BurningMorphis
     tau: list[int | None] = [None] * b_g.end_time
     for v in b_g.graph.vertices:
         t = b_g.time(v)
+        if not 1 <= t <= b_g.end_time:
+            raise MorphismError(f"vertex {v} burns at time {t}, outside 1..{b_g.end_time}")
         image_t = b_h.time(f(v))
         if tau[t - 1] is None:
             tau[t - 1] = image_t

@@ -3,10 +3,10 @@
 A complex is a vertex count plus the antichain of inclusion-maximal simplexes
 as vertex bitmasks (bit v set iff v is in the facet); `facets` views them as
 ascending tuples, and its face lattice (`lattice`), built once, holds every
-face as a mask.  One routine (`_maximal`) keeps the maximal masks wherever an
-antichain is built or checked.  The burning configuration space of a graph is
-the complex generated by the source sets of all its burnings, read straight
-off the masks of the memoised burning search.
+face as a mask.  The constructor keeps the maximal masks it is given
+(`_maximal`), so a complex is the one its masks generate.  The burning
+configuration space of a graph is the complex generated by the source sets of
+all its burnings, the masks of the memoised burning search.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "vertex_count masks")):
     masks: frozenset[int]
 
     def __new__(cls, vertex_count: int, masks: Iterable[int]) -> "SimplicialComplex":
-        masks = frozenset(masks)
         if vertex_count < 1:
             raise ComplexError("complex needs at least one vertex")
-        if 0 in masks:
-            raise ComplexError("empty facet")
+        masks = frozenset(_maximal(masks))  # the facets, an antichain by construction
         # Out-of-range bits and uncovered vertices both break this equality.
         if reduce(or_, masks, 0) != (1 << vertex_count) - 1:
             raise ComplexError(f"facets must cover exactly 0..{vertex_count - 1}")
-        if len(_maximal(masks)) != len(masks):
-            raise ComplexError("facets must form an antichain")
         return tuple.__new__(cls, (vertex_count, masks))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -75,7 +71,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "vertex_count masks")):
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
-    """The inclusion-maximal masks among distinct ones, largest first.  Masks
+    """The inclusion-maximal masks, largest first (a repeated one repeats).  Masks
     of one size cannot contain each other, so each meets only larger kept ones."""
     larger: list[int] = []
     same: list[int] = []
@@ -108,7 +104,7 @@ def _face_lattice(masks: frozenset[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """The complex generated by arbitrary simplexes; non-maximal ones are absorbed."""
+    """The complex generated by arbitrary simplexes; the constructor absorbs faces."""
     masks: set[int] = set()
     for s in simplexes:
         mask = 0
@@ -117,12 +113,12 @@ def from_generators(vertex_count: int, simplexes: Iterable[Sequence[int]]) -> Si
                 raise ComplexError(f"generator vertex {v} out of range")
             mask |= 1 << v
         masks.add(mask)
-    return SimplicialComplex(vertex_count, frozenset(_maximal(masks)))
+    return SimplicialComplex(vertex_count, masks)
 
 
 def configuration_space(g: Graph) -> SimplicialComplex:
-    """The complex generated by all burning source sets, read off the search's masks."""
-    return SimplicialComplex(g.vertex_count, frozenset(_maximal(_search(g)[0])))
+    """The complex generated by all burning source sets, the search's masks."""
+    return SimplicialComplex(g.vertex_count, _search(g)[0])
 
 
 def is_burning_extension(embed: GraphMap) -> bool:

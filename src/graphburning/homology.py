@@ -267,25 +267,24 @@ def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> list[list]:
         raise ValueError("induced maps support field coefficients only (q or p:<prime>)")
     src_cc = chain_complex(f.domain)
     dst_cc = chain_complex(f.codomain)
+    # Each chain map once, degree - 1 (none below 0) to degree + 1; a negative degree raises.
+    maps = {q: chain_map_matrix(f, q) for q in range(degree - 1 if degree else 0, degree + 2)}
     # The chain map must commute with the boundaries.
     for q in (degree, degree + 1):
         if q < 1:
             continue
-        upper = chain_map_matrix(f, q)
-        lower = chain_map_matrix(f, q - 1)
         d_dst = dst_cc.boundary(q)
-        if any(apply_columns(lower, column) != apply_columns(d_dst, upper[j])
+        if any(apply_columns(maps[q - 1], column) != apply_columns(d_dst, maps[q][j])
                for j, column in enumerate(src_cc.boundary(q))):
             raise InvariantError("chain map does not commute with boundaries")
     _, cycles = _homology_basis(src_cc, degree, p)
     span, target_cycles = _homology_basis(dst_cc, degree, p)
-    cm = chain_map_matrix(f, degree)
     if not p:  # imported on demand, as by `FieldEchelon`
         from fractions import Fraction
     # Rows indexed by the target basis, columns by the source basis.
     matrix = [[0 if p else Fraction(0)] * len(cycles) for _ in target_cycles]
     for j, cycle in enumerate(cycles):
-        remainder, coords = span.reduce(apply_columns(cm, cycle))
+        remainder, coords = span.reduce(apply_columns(maps[degree], cycle))
         if remainder:
             raise InvariantError("the image of a cycle is not a cycle")
         for i, x in coords.items():

@@ -369,6 +369,9 @@ def test_usage_errors(capsys):
     assert err == "error: bad parameters for 'path': expected path:<n>, got 2 parameters\n"
     code, _, err = run(capsys, "validate", "path:3", "0,x")
     assert code == 2
+    code, out, err = run(capsys, "complex", "0 1 2")  # inline text, three fields a line
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read graph '0 1 2': line 1: expected 'u v'\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -382,6 +385,23 @@ def test_closed_pipe_ends_the_listing_quietly(fmt):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
+
+
+def test_closed_pipe_after_the_first_line_exits_quietly():
+    """`graphburn burnings sum:6,path:2 | head -n 1`: 46,080 burnings, one read."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphburning", "burnings", "sum:6,path:2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
@@ -419,17 +439,21 @@ def test_survey_script_runs():
 
 
 def test_ladder_runs_its_smallest_rung():
-    """`scripts/ladder.py` times P10 in a fresh process, and a cold call."""
+    """`scripts/ladder.py` times P10 in three fresh processes, and a cold call."""
     spec = importlib.util.spec_from_file_location(
         "ladder", Path(__file__).parents[1] / "scripts" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     row = ladder.run_rung("P10")
     # conf(P10) = Ind(P10): 16 maximal independent sets, contractible (Kozlov).
-    assert (row["rung"], row["facets"], row["cells_left"]) == ("P10", 16, 0)
+    assert (row["rung"], row["facets"], row["cells_left"], row["runs"]) == ("P10", 16, 0, 3)
     assert row["source_sets"] == len(source_sets(path_graph(10)))
     assert list(row["seconds"]) == [label for _, _, label in ladder.LAYERS]
-    assert row["peak_rss_mib"] > 0 and row["process_s"] > row["conf_s"]
+    spreads = [row[key] for key in ("conf_s", "homology_s", "peak_rss_mib", "process_s")]
+    assert all(s["min"] <= s["median"] <= s["max"] for s in spreads + list(row["seconds"].values()))
+    assert row["peak_rss_mib"]["min"] > 0
+    # Each process outlasts its own conf_s, so each order statistic does too.
+    assert all(row["process_s"][k] > row["conf_s"][k] for k in ("median", "min", "max"))
     cold = ladder.run_cold_start()
     stages = [cold[name] for name in ("import_s", "parser_s", "work_s", "process_s")]
     assert cold["runs"] == 7 and all(s["min"] <= s["median"] <= s["max"] for s in stages)

@@ -52,31 +52,30 @@ S0 = SimplicialComplex(2, frozenset({0b01, 0b10}))
 
 
 def test_complex_validation():
-    with pytest.raises(ComplexError, match="empty facet"):
-        SimplicialComplex(1, frozenset({0b1, 0}))
+    # The constructor keeps the maximal masks: faces and a redundant empty mask go.
+    assert SimplicialComplex(1, frozenset({0b1, 0})) == POINT
+    assert SimplicialComplex(2, frozenset({0b01, 0b11})).masks == {0b11}
     with pytest.raises(ComplexError, match="cover exactly"):
         SimplicialComplex(3, frozenset({0b011}))  # vertex 2 uncovered
-    with pytest.raises(ComplexError, match="antichain"):
-        SimplicialComplex(2, frozenset({0b01, 0b11}))
     with pytest.raises(ComplexError, match="cover exactly"):
         SimplicialComplex(2, frozenset({0b1001}))  # out of range
+    with pytest.raises(ComplexError, match="cover exactly"):
+        SimplicialComplex(1, frozenset({0}))  # only the empty mask
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.sets(
-    st.sets(st.integers(0, n - 1), min_size=1).map(lambda s: tuple(sorted(s))),
-    min_size=1, max_size=8).map(lambda fs: (n, fs))))
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.sets(st.integers(0, n - 1)).map(lambda s: tuple(sorted(s))),
+    max_size=8).map(lambda fs: (n, fs))))
 @settings(max_examples=200, deadline=None)
-def test_antichain_check_matches_pairwise_sets(case):
-    n, facets = case
-    facets |= {(v,) for v in range(n)
-               if not any(v in f for f in facets)}  # cover every vertex
-    nested = any(set(a) < set(b) for a in facets for b in facets)
-    try:
-        SimplicialComplex(n, frozenset(sum(1 << v for v in f) for f in facets))
-    except ComplexError as err:
-        assert nested and str(err) == "facets must form an antichain"
-    else:
-        assert not nested
+def test_constructor_absorbs_like_pairwise_sets(case):
+    """Any masks, repeated, nested and empty ones included, give the complex
+    they generate, which its own masks give again."""
+    n, generators = case
+    generators = generators + [(v,) for v in range(n)
+                               if not any(v in s for s in generators)]  # cover every vertex
+    c = SimplicialComplex(n, [sum(1 << v for v in s) for s in generators])
+    assert c.facets == absorb_literally(generators)
+    assert SimplicialComplex(n, c.masks) == c
 
 
 def test_from_generators_absorbs_faces():

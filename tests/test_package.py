@@ -14,24 +14,41 @@ import graphburning
 from graphburning import (
     Burning,
     BurningError,
+    ComplexError,
     Graph,
+    GraphError,
+    GraphMapError,
     HomologyGroup,
     InvariantError,
     MorphismError,
     SimplicialComplex,
     SimplicialMapError,
+    SmithForm,
+    Subgraph,
     TauNotGraphMap,
     admits_extension,
+    build_named,
     chain_complex,
     classify,
+    complete_bipartite_graph,
+    complete_graph,
+    compose_graph_maps,
     compose_morphisms,
     compose_simplicial_maps,
+    edgeless_graph,
     extremal_path_report,
+    faces,
     identity_map,
     identity_morphism,
     identity_simplicial_map,
+    induced_subgraph,
     is_b_burned,
+    is_burning_extension,
+    iterated_sum,
+    matrix_rank_over,
+    parse_graph_text,
     path_graph,
+    skeleton,
     smith_normal_form,
     validate_burning,
     validate_graph_map,
@@ -39,6 +56,7 @@ from graphburning import (
     validate_simplicial_map,
     whole_graph,
 )
+from graphburning.homology import chain_map_matrix
 from graphburning.verify import CheckResult, VerificationReport
 
 
@@ -116,6 +134,8 @@ B2, B3 = validate_burning(P2, (0,)), validate_burning(P3, (1,))
 POINT = SimplicialComplex(1, frozenset({0b1}))
 HOLLOW_TRIANGLE = SimplicialComplex(3, frozenset({0b011, 0b101, 0b110}))
 SKIPS_TIME_2 = Burning(P2, (0,), (1, 3), 3)  # hand-built: no vertex burns at time 2
+TIME_PAST_END = Burning(P2, (0,), (1, 5), 3)  # hand-built: time 5 past the end time 3
+TIME_ZERO = Burning(P2, (0,), (0, 1), 1)  # hand-built: vertex 0 burns at time 0
 
 # Refusals that the other tests never reach, each with the error it raises.
 REFUSALS = {
@@ -138,8 +158,56 @@ REFUSALS = {
         SimplicialMapError, "do not compose"),
     "time-skipped": (lambda: validate_morphism(identity_map(P2), SKIPS_TIME_2, SKIPS_TIME_2),
                      MorphismError, "no vertex burns at time 2"),
+    "time-past-end": (lambda: validate_morphism(identity_map(P2), TIME_PAST_END, TIME_PAST_END),
+                      MorphismError, r"vertex 1 burns at time 5, outside 1\.\.3"),
+    "time-zero": (lambda: validate_morphism(identity_map(P2), TIME_ZERO, TIME_ZERO),
+                  MorphismError, r"vertex 0 burns at time 0, outside 1\.\.1"),
+    "morphism-endpoints": (lambda: validate_morphism(identity_map(P3), B2, B2),
+                           MorphismError, "graph map endpoints do not match"),
     "negative-free-rank": (lambda: HomologyGroup(-1), InvariantError, "bad homology group"),
     "torsion-one": (lambda: HomologyGroup(0, (1,)), InvariantError, "bad homology group"),
+    "smith-rank-mismatch": (lambda: SmithForm((2,), 2), InvariantError,
+                            "rank 2 != diagonal length 1"),
+    "chain-map-negative-degree": (lambda: chain_map_matrix(identity_simplicial_map(POINT), -1),
+                                  ComplexError, "dimension must be >= 0"),
+    "rank-over-integers": (lambda: matrix_rank_over([[1]], "z"), ValueError,
+                           "field coefficients only"),
+    "complex-without-vertices": (lambda: SimplicialComplex(0, ()), ComplexError,
+                                 "at least one vertex"),
+    "extension-embedding-not-injective": (lambda: is_burning_extension(
+        validate_graph_map((0, 0), P2, P2)), BurningError, "embedding must be injective"),
+    "faces-negative-dimension": (lambda: faces(POINT, -1), ComplexError,
+                                 "dimension must be >= 0"),
+    "skeleton-negative-dimension": (lambda: skeleton(POINT, -1), ComplexError,
+                                    "dimension must be >= 0"),
+    "graph-without-vertices": (lambda: Graph(0), GraphError, "graph needs at least one vertex"),
+    "subgraph-unsorted": (lambda: Subgraph(P3, (1, 0), ()), GraphError,
+                          "must be sorted and duplicate-free"),
+    "subgraph-without-vertices": (lambda: Subgraph(P3, (), ()), GraphError,
+                                  "subgraph needs at least one vertex"),
+    "subgraph-edge-outside-ambient": (lambda: Subgraph(P3, (0, 2), {(0, 2)}), GraphError,
+                                      r"edge \(0, 2\) not in the ambient graph"),
+    "subgraph-edge-leaves-vertices": (lambda: Subgraph(P3, (0,), {(0, 1)}), GraphError,
+                                      r"edge \(0, 1\) leaves the subgraph vertex set"),
+    "induced-vertex-out-of-range": (lambda: induced_subgraph(P3, (3,)), GraphError,
+                                    "vertex 3 out of range"),
+    "complete-graph-empty": (lambda: complete_graph(0), GraphError,
+                             "complete graph needs n >= 1"),
+    "edgeless-graph-empty": (lambda: edgeless_graph(0), GraphError,
+                             "edgeless graph needs n >= 1"),
+    "bipartite-side-empty": (lambda: complete_bipartite_graph(1, 0), GraphError,
+                             "complete bipartite graph needs n, m >= 1"),
+    "iterated-sum-empty": (lambda: iterated_sum(0, P2), GraphError, "iterated sum needs n >= 1"),
+    "named-iterated-sum": (lambda: build_named("iterated_sum"), GraphError,
+                           r"use iterated_sum\(k, g\) directly"),
+    "graph-image-out-of-range": (lambda: validate_graph_map((0, 2), P2, P2), GraphMapError,
+                                 "image vertex 2 out of range"),
+    "graph-maps-do-not-compose": (lambda: compose_graph_maps(identity_map(P2), identity_map(P3)),
+                                  GraphMapError, "graph maps do not compose"),
+    "text-line-of-three": (lambda: parse_graph_text("0 1 2"), GraphError,
+                           "line 1: expected 'u v'"),
+    "text-negative-vertex": (lambda: parse_graph_text("0 -1"), GraphError,
+                             "line 1: negative vertex index"),
 }
 
 
