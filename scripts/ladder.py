@@ -24,7 +24,8 @@ and of the peak RSS.  The layers, in pipeline order:
 One more row times a fresh `graphburn homology path:14`, split into the
 package import, the parser (build and parse) and the work, in seven fresh
 processes, with the median, min and max of each stage: a single process
-strays by 20-40%, past most changes worth measuring.  The results go
+strays by 20-40%, past most changes worth measuring.  The row also lists the
+`graphburning` modules that call loaded, its import path.  The results go
 to `BENCH_ladder.json` at the repository root, with the commit, the Python
 version and the machine.  The whole ladder takes about three minutes.
 """
@@ -137,6 +138,7 @@ parsed = time.perf_counter()
 args.fn(args)
 done = time.perf_counter()
 print(imported - start, parsed - imported, done - parsed, file=sys.stderr)
+print(*sorted(m for m in sys.modules if m.startswith("graphburning")), file=sys.stderr)
 """
 
 
@@ -172,14 +174,17 @@ def run_rung(name: str) -> dict:
 
 
 def run_cold_start() -> dict:
-    """The cold call in `COLD_RUNS` fresh processes: each stage's median, min and max."""
-    runs = []
+    """The cold call in `COLD_RUNS` fresh processes: each stage's median, min and
+    max, and the package modules loaded by any of them."""
+    runs, modules = [], set()
     for _ in range(COLD_RUNS):
         done, wall = fresh(COLD_START)
-        runs.append([float(x) for x in done.stderr.split()] + [wall])
+        times, loaded = done.stderr.splitlines()
+        runs.append([float(x) for x in times.split()] + [wall])
+        modules.update(loaded.split())
     stages = {name: _spread(times) for name, times in
               zip(("import_s", "parser_s", "work_s", "process_s"), zip(*runs))}
-    return dict(stages, argv=COLD_ARGV, runs=COLD_RUNS)
+    return dict(stages, argv=COLD_ARGV, runs=COLD_RUNS, modules=sorted(modules))
 
 
 def _commit() -> str:

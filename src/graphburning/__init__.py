@@ -1,4 +1,10 @@
-"""Graph burnings, their configuration complexes, and exact burning homology."""
+"""Graph burnings, their configuration complexes, and exact burning homology.
+
+The pipeline (graph, burnings, configuration space, homology) is imported
+with the package.  The category of burnings (`morphisms`) and simplicial maps
+with their induced maps (`maps`) run in no pipeline command, so their names
+here load their module on first use.
+"""
 
 from .graphs import (
     Graph,
@@ -28,46 +34,27 @@ from .graphs import (
 from .burning import (
     Burning,
     BurningError,
-    BurningMorphism,
-    ExtremalPathReport,
     IncompleteBurning,
-    MorphismError,
-    PrefixMismatch,
     SizeGuardExceeded,
     SourceTooEarly,
-    TauIllDefined,
-    TauNotGraphMap,
-    admits_extension,
     burning_count,
     burning_map,
     burning_number,
-    compose_morphisms,
     enumerate_burnings,
-    extremal_path_report,
-    identity_morphism,
-    is_b_burned,
     iter_burnings,
-    minimal_b_burned_subgraphs,
     source_sets,
     validate_burning,
-    validate_morphism,
 )
 from .complexes import (
     ComplexError,
     SimplicialComplex,
-    SimplicialMap,
-    SimplicialMapError,
-    compose_simplicial_maps,
     configuration_space,
     faces,
     from_generators,
     graph_as_complex,
-    identity_simplicial_map,
-    is_burning_extension,
     join,
     one_skeleton_graph,
     skeleton,
-    validate_simplicial_map,
 )
 from .homology import (
     ChainComplexZ,
@@ -75,10 +62,34 @@ from .homology import (
     chain_complex,
     euler_characteristic,
     homology,
-    induced_map,
-    matrix_rank_over,
 )
 from .exactlinalg import InvariantError, SmithForm, smith_normal_form
+
+# The home module of each name loaded on first use.
+_LAZY = {
+    **dict.fromkeys((
+        "BurningMorphism", "ExtremalPathReport", "MorphismError", "PrefixMismatch",
+        "TauIllDefined", "TauNotGraphMap", "admits_extension", "compose_morphisms",
+        "extremal_path_report", "identity_morphism", "is_b_burned", "is_burning_extension",
+        "minimal_b_burned_subgraphs", "validate_morphism"), "morphisms"),
+    **dict.fromkeys((
+        "SimplicialMap", "SimplicialMapError", "compose_simplicial_maps",
+        "identity_simplicial_map", "validate_simplicial_map", "induced_map",
+        "matrix_rank_over"), "maps"),
+}
+
+
+def __getattr__(name: str):
+    """A name of `_LAZY`, read off its module, which is imported on the first call."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "Graph", "GraphError", "GraphMap", "GraphMapError", "StructureReport",

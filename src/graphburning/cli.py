@@ -16,7 +16,6 @@ import sys
 from itertools import islice
 
 from .burning import (
-    _EXTREMAL_N,
     Burning,
     BurningError,
     IncompleteBurning,
@@ -25,9 +24,7 @@ from .burning import (
     SourceTooEarly,
     burning_count,
     burning_number,
-    extremal_path_report,
     iter_burnings,
-    minimal_b_burned_subgraphs,
     validate_burning,
 )
 from .complexes import configuration_space
@@ -201,6 +198,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_minimal_subgraphs(args) -> int:
+    from .morphisms import minimal_b_burned_subgraphs  # off the pipeline's import, as in cmd_verify
     try:
         b = _validate(args)
     except BurningError as exc:
@@ -219,6 +217,7 @@ def cmd_minimal_subgraphs(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .morphisms import extremal_path_report  # off the pipeline's import, as in cmd_verify
     report = extremal_path_report(args.kind, args.param)
     record = {"kind": report.kind, "param": report.param, "n": report.n,
               "witness": shift(report.witness, args.one_based),
@@ -292,6 +291,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
                 "minimal subgraphs burned compatibly with a burning"):
         p.add_argument("sources")
     if p := add("witness", cmd_witness, "extremal path lengths with witnesses", graph=False):
+        from .morphisms import _EXTREMAL_N
         p.add_argument("kind", choices=tuple(_EXTREMAL_N))
         p.add_argument("param", type=int)
     if p := add("verify", cmd_verify, "run the built-in verification checks", graph=False):

@@ -6,7 +6,9 @@ ascending tuples, and its face lattice (`lattice`), built once, holds every
 face as a mask.  The constructor keeps the maximal masks it is given
 (`_maximal`), so a complex is the one its masks generate.  The burning
 configuration space of a graph is the complex generated by the source sets of
-all its burnings, the masks of the memoised burning search.
+all its burnings, the masks of the memoised burning search.  Simplicial maps
+live in `maps`, and `is_burning_extension`, which compares two configuration
+spaces, in `morphisms`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .burning import BurningError, _search
-from .graphs import Graph, GraphMap, _vertices
+from .burning import _search
+from .graphs import Graph, _vertices
 
 Simplex = tuple[int, ...]
 
@@ -121,17 +123,6 @@ def configuration_space(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(g.vertex_count, _search(g)[0])
 
 
-def is_burning_extension(embed: GraphMap) -> bool:
-    """Whether every source set of the domain extends to one of the codomain,
-    i.e. each facet of conf(H) maps onto a face of conf(G) (faces are exactly the
-    subsets of source sets).  A search past its budget raises `SizeGuardExceeded`."""
-    if not embed.is_injective():
-        raise BurningError("embedding must be injective")
-    target = configuration_space(embed.codomain)
-    return all(target.has_face([embed(v) for v in f])
-               for f in configuration_space(embed.domain).facets)
-
-
 def faces(c: SimplicialComplex, q: int) -> tuple[Simplex, ...]:
     """All q-dimensional faces in lexicographic order, read off the face
     lattice; asking for any level builds every face of c, once per complex."""
@@ -194,57 +185,3 @@ def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
         return c
     return SimplicialComplex(len(vertices), frozenset(
         sum(1 << i for i, v in enumerate(vertices) if m >> v & 1) for m in masks))
-
-
-# ---------------------------------------------------------------------------
-# Simplicial maps
-
-
-class SimplicialMapError(ValueError):
-    """A vertex function whose image of some facet is not a face."""
-
-    def __init__(self, message: str, facet: Simplex | None = None):
-        super().__init__(message)
-        self.facet = facet
-
-
-class SimplicialMap(namedtuple("SimplicialMap", "domain codomain vertex_fn")):
-    __slots__ = ()
-    domain: SimplicialComplex
-    codomain: SimplicialComplex
-    vertex_fn: tuple[int, ...]
-
-    def __call__(self, v: int) -> int:
-        return self.vertex_fn[v]
-
-    def image_simplex(self, simplex: Sequence[int]) -> Simplex:
-        return tuple(sorted({self.vertex_fn[v] for v in simplex}))
-
-
-def validate_simplicial_map(vertex_fn: Sequence[int], c1: SimplicialComplex,
-                            c2: SimplicialComplex) -> SimplicialMap:
-    """Accept iff the image of every facet (hence every face) is a face of c2."""
-    fn = tuple(vertex_fn)
-    if len(fn) != c1.vertex_count:
-        raise SimplicialMapError("vertex function must be total on the domain")
-    for image in fn:
-        if not 0 <= image < c2.vertex_count:
-            raise SimplicialMapError(f"image vertex {image} out of range")
-    for f in sorted(c1.facets):
-        image = tuple(sorted({fn[v] for v in f}))
-        if not c2.has_face(image):
-            raise SimplicialMapError(
-                f"facet {f} maps onto {image}, which is not a face", facet=f)
-    return SimplicialMap(c1, c2, fn)
-
-
-def identity_simplicial_map(c: SimplicialComplex) -> SimplicialMap:
-    return validate_simplicial_map(tuple(range(c.vertex_count)), c, c)
-
-
-def compose_simplicial_maps(second: SimplicialMap, first: SimplicialMap) -> SimplicialMap:
-    if first.codomain != second.domain:
-        raise SimplicialMapError("simplicial maps do not compose")
-    fn = tuple(second.vertex_fn[first.vertex_fn[v]]
-               for v in range(first.domain.vertex_count))
-    return validate_simplicial_map(fn, first.domain, second.codomain)

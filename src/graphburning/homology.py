@@ -20,26 +20,19 @@ length of its Smith diagonal and over F_p the number of entries p does not
 divide.  That reduction (the strong core, its chain complex with the
 boundary-squared check, the coreduction and the Smith forms) is cached per
 complex, so every ring after the first, and the reduced groups, cost only the
-rank read-out.  Induced maps, which need cycles of the whole complex, and
-`matrix_rank_over` use the sparse field echelon; `euler_characteristic`
-counts the lattice levels of the whole complex.
+rank read-out.  `euler_characteristic` counts the lattice levels of the
+whole complex.  Induced maps, which need cycles of the whole complex, live in
+`maps`, with the sparse field echelon they use.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
-from .complexes import ComplexError, SimplicialComplex, SimplicialMap, _strong_core
-from .exactlinalg import (
-    FieldEchelon,
-    InvariantError,
-    Vector,
-    apply_columns,
-    smith_normal_form,
-)
+from .complexes import SimplicialComplex, _strong_core
+from .exactlinalg import InvariantError, Vector, apply_columns, smith_normal_form
 from .graphs import _vertices
 
 
@@ -233,88 +226,3 @@ def homology_to_record(groups: Sequence[HomologyGroup], coeff: str = "z") -> lis
             entry["p"] = p
         records.append(entry)
     return records
-
-
-# ---------------------------------------------------------------------------
-# Induced maps on homology with field coefficients
-
-
-def chain_map_matrix(f: SimplicialMap, q: int) -> list[Vector]:
-    """Degree-q chain map as sparse columns: image with orientation sign, 0 on
-    collapsed simplexes."""
-    if q < 0:
-        raise ComplexError("dimension must be >= 0")
-    source, target = (c.lattice[q] if q < len(c.lattice) else ()
-                      for c in (f.domain, f.codomain))
-    index = {m: i for i, m in enumerate(target)}
-    columns: list[Vector] = []
-    for m in source:
-        images = [f(v) for v in _vertices(m)]
-        image = sum(1 << v for v in set(images))
-        # The sign of the permutation that sorts the images: -1 per inversion.
-        columns.append({index[image]: (-1) ** sum(a > b for a, b in combinations(images, 2))}
-                       if image.bit_count() == len(images) else {})
-    return columns
-
-
-def induced_map(f: SimplicialMap, degree: int, coeff: str = "q") -> list[list]:
-    """The induced matrix between homology bases in the given degree.
-
-    Field coefficients only; integer (torsion) coefficients are rejected.
-    """
-    p = parse_coeff(coeff)
-    if p is None:
-        raise ValueError("induced maps support field coefficients only (q or p:<prime>)")
-    src_cc = chain_complex(f.domain)
-    dst_cc = chain_complex(f.codomain)
-    # Each chain map once, degree - 1 (none below 0) to degree + 1; a negative degree raises.
-    maps = {q: chain_map_matrix(f, q) for q in range(degree - 1 if degree else 0, degree + 2)}
-    # The chain map must commute with the boundaries.
-    for q in (degree, degree + 1):
-        if q < 1:
-            continue
-        d_dst = dst_cc.boundary(q)
-        if any(apply_columns(maps[q - 1], column) != apply_columns(d_dst, maps[q][j])
-               for j, column in enumerate(src_cc.boundary(q))):
-            raise InvariantError("chain map does not commute with boundaries")
-    _, cycles = _homology_basis(src_cc, degree, p)
-    span, target_cycles = _homology_basis(dst_cc, degree, p)
-    if not p:  # imported on demand, as by `FieldEchelon`
-        from fractions import Fraction
-    # Rows indexed by the target basis, columns by the source basis.
-    matrix = [[0 if p else Fraction(0)] * len(cycles) for _ in target_cycles]
-    for j, cycle in enumerate(cycles):
-        remainder, coords = span.reduce(apply_columns(maps[degree], cycle))
-        if remainder:
-            raise InvariantError("the image of a cycle is not a cycle")
-        for i, x in coords.items():
-            matrix[i][j] = x
-    return matrix
-
-
-def matrix_rank_over(matrix: Sequence[Sequence], coeff: str = "q") -> int:
-    p = parse_coeff(coeff)
-    if p is None:
-        raise ValueError("field coefficients only")
-    echelon = FieldEchelon(p)
-    for row in matrix:
-        echelon.insert(dict(enumerate(row)), {})
-    return len(echelon.rows)
-
-
-def _homology_basis(cc: ChainComplexZ, degree: int,
-                    p: int) -> tuple[FieldEchelon, list[dict]]:
-    """Cycles whose classes are a basis of homology over Q or F_p, and an
-    echelon of the boundaries and those cycles; its `reduce` gives a cycle's
-    coordinates in that basis."""
-    kernel = FieldEchelon(p)
-    cycles = [relation for j, column in enumerate(cc.boundary(degree))
-              if (relation := kernel.insert(column, {j: 1})) is not None]
-    span = FieldEchelon(p)
-    for column in cc.boundary(degree + 1):
-        span.insert(column, {})
-    representatives: list[dict] = []
-    for cycle in cycles:
-        if span.insert(cycle, {len(representatives): 1}) is None:
-            representatives.append(cycle)
-    return span, representatives

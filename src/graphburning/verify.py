@@ -14,25 +14,20 @@ import traceback
 from collections import namedtuple
 from functools import reduce
 from itertools import combinations
+from math import gcd
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .burning import (
-    _EXTREMAL_N,
     burning_count,
     burning_map,
     burning_number,
-    compose_morphisms,
-    extremal_path_report,
-    identity_morphism,
     iter_burnings,
-    minimal_b_burned_subgraphs,
     source_sets,
     validate_burning,
-    validate_morphism,
 )
 from .complexes import SimplicialComplex, configuration_space, join, one_skeleton_graph
-from .exactlinalg import InvariantError, determinantal_divisor_snf, smith_normal_form
+from .exactlinalg import InvariantError, SmithForm, smith_normal_form
 from .graphs import (
     Graph,
     classify,
@@ -48,6 +43,14 @@ from .graphs import (
     validate_graph_map,
 )
 from .homology import HomologyGroup, chain_complex, euler_characteristic, homology
+from .morphisms import (
+    _EXTREMAL_N,
+    compose_morphisms,
+    extremal_path_report,
+    identity_morphism,
+    minimal_b_burned_subgraphs,
+    validate_morphism,
+)
 
 RANDOM_SEED = 20250826
 
@@ -381,6 +384,48 @@ def check_suspension_shift() -> CheckResult:
             bad.append((name, [str(x) for x in lifted], [str(x) for x in base]))
     return _result("suspension-shift", statement, not bad,
                    {"graphs_checked": len(corpus), "counterexamples": bad})
+
+
+def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
+    """Independent oracle: d_k = gcd of k-by-k minors divided by the previous.
+
+    Exponential in the matrix size; intended for small test matrices only.
+    """
+    from itertools import combinations
+
+    m = [list(row) for row in matrix]
+    rows, cols = len(m), len(m[0]) if m else 0
+
+    def minor_det(ris: tuple[int, ...], cis: tuple[int, ...]) -> int:
+        return _det([[m[i][j] for j in cis] for i in ris])
+
+    def _det(sub: list[list[int]]) -> int:
+        n = len(sub)
+        if n == 1:
+            return sub[0][0]
+        det = 0
+        for j in range(n):
+            if sub[0][j]:
+                smaller = [row[:j] + row[j + 1:] for row in sub[1:]]
+                sign = -1 if j % 2 else 1
+                det += sign * sub[0][j] * _det(smaller)
+        return det
+
+    divisors = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for ris in combinations(range(rows), k):
+            for cis in combinations(range(cols), k):
+                g = gcd(g, minor_det(ris, cis))
+        if g == 0:
+            break
+        divisors.append(g)
+    diagonal = []
+    prev = 1
+    for d in divisors:
+        diagonal.append(d // prev)
+        prev = d
+    return SmithForm(tuple(diagonal), len(diagonal))
 
 
 def check_property_suites() -> CheckResult:

@@ -35,8 +35,9 @@ from graphburning import (
     validate_burning,
     validate_morphism,
 )
-from graphburning import burning
-from graphburning.burning import _burnings, _closed_form_witness, _search
+from graphburning import burning, morphisms
+from graphburning.burning import _burnings, _search
+from graphburning.morphisms import _closed_form_witness
 from graphburning.graphs import (
     Graph,
     Subgraph,
@@ -485,7 +486,7 @@ def test_budgets_bound_every_search(monkeypatch):
         enumerate_burnings(g)
     # An extension builds one completion and lists nothing.
     assert admits_extension(b_h, embed, g).sources == (4, 0, 7)
-    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 0)
+    monkeypatch.setattr(morphisms, "_SUBGRAPH_CANDIDATES", 0)
     with pytest.raises(SizeGuardExceeded, match="0 candidates"):
         minimal_b_burned_subgraphs(validate_burning(g, (4, 1, 7)))
 
@@ -742,10 +743,10 @@ def test_subgraph_budget_reach(monkeypatch):
         assert leaves <= set(b.sources)
     with pytest.raises(SizeGuardExceeded, match="100,000 candidates"):
         minimal_b_burned_subgraphs(validate_burning(grid(5), (0, 2, 4, 13, 19)))
-    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 61_423)
+    monkeypatch.setattr(morphisms, "_SUBGRAPH_CANDIDATES", 61_423)
     with pytest.raises(SizeGuardExceeded, match="61,423 candidates"):
         minimal_b_burned_subgraphs(b)
-    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 61_424)
+    monkeypatch.setattr(morphisms, "_SUBGRAPH_CANDIDATES", 61_424)
     assert minimal_b_burned_subgraphs(b) == got
 
 
@@ -979,7 +980,7 @@ def test_extremal_witnesses_validate():
 
 def test_extremal_closed_form_is_checked(monkeypatch):
     # Sources 1 and 4 burn P5, but with two sources where three are wanted.
-    monkeypatch.setattr(burning, "_closed_form_witness", lambda kind, p: (1, 4))
+    monkeypatch.setattr(morphisms, "_closed_form_witness", lambda kind, p: (1, 4))
     with pytest.raises(InvariantError, match="min-n-for-k at 3"):
         extremal_path_report("min-n-for-k", 3)
 
@@ -993,8 +994,8 @@ def test_extremal_bounds_are_tight():
 
 def test_extremal_witness_budget(monkeypatch):
     """A witness path past the budget is refused before it is built."""
-    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 9)
-    monkeypatch.setattr(burning, "path_graph", lambda n: pytest.fail(f"built P{n}")
+    monkeypatch.setattr(morphisms, "_WITNESS_VERTICES", 9)
+    monkeypatch.setattr(morphisms, "path_graph", lambda n: pytest.fail(f"built P{n}")
                         if n > 9 else path_graph(n))
     assert extremal_path_report("max-n-for-T", 3).n == 9
     with pytest.raises(SizeGuardExceeded, match="needs P16, past the witness budget of 9"):

@@ -21,7 +21,7 @@ from graphburning import (
     path_graph,
     source_sets,
 )
-from graphburning import burning, cli, verify
+from graphburning import burning, cli, morphisms, verify
 from graphburning.cli import UsageError, build_parser, load_graph, main, parse_sources
 
 
@@ -321,7 +321,7 @@ def test_bitmask_budget_fails_fast(capsys, monkeypatch):
 
 
 def test_subgraph_budget_fails_fast(capsys, monkeypatch):
-    monkeypatch.setattr(burning, "_SUBGRAPH_CANDIDATES", 0)
+    monkeypatch.setattr(morphisms, "_SUBGRAPH_CANDIDATES", 0)
     code, out, err = run(capsys, "minimal-subgraphs", "path:9", "4,1,7")
     assert code == 2 and not out and "0 candidates" in err
     # The size flags are gone: argparse rejects them as a usage error.
@@ -459,6 +459,9 @@ def test_ladder_runs_its_smallest_rung():
     assert cold["runs"] == 7 and all(s["min"] <= s["median"] <= s["max"] for s in stages)
     # Each process outlasts its own stages, so the shortest outlasts the shortest stages.
     assert stages[3]["min"] > sum(s["min"] for s in stages[:3]) > 0
+    # The import path of a pipeline command: the pipeline's layers, and no more.
+    assert cold["modules"] == ["graphburning"] + [f"graphburning.{name}" for name in sorted(
+        ("cli", "graphs", "burning", "complexes", "homology", "exactlinalg"))]
 
 
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):

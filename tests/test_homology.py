@@ -37,16 +37,15 @@ from graphburning import (
     validate_simplicial_map,
 )
 from graphburning.complexes import _strong_core
-from graphburning.exactlinalg import FieldEchelon, determinantal_divisor_snf
 from graphburning.graphs import Graph
-from graphburning.homology import (
-    _assert_square_zero,
-    _coreduce,
-    _reduction,
-    chain_map_matrix,
-    homology_to_record,
+from graphburning.homology import _assert_square_zero, _coreduce, _reduction, homology_to_record
+from graphburning.maps import FieldEchelon, chain_map_matrix
+from graphburning.verify import (
+    connected_corpus,
+    determinantal_divisor_snf,
+    named_graphs,
+    random_graphs,
 )
-from graphburning.verify import connected_corpus, named_graphs, random_graphs
 
 import face_tuples
 from conftest import complexes

@@ -56,7 +56,7 @@ from graphburning import (
     validate_simplicial_map,
     whole_graph,
 )
-from graphburning.homology import chain_map_matrix
+from graphburning.maps import chain_map_matrix
 from graphburning.verify import CheckResult, VerificationReport
 
 
@@ -113,20 +113,55 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_import_loads_no_dataclasses_inspect_or_fractions():
-    """Every call pays the package import, so it leaves out these modules:
-    records are named tuples, and only rational arithmetic imports fractions."""
-    package = Path(graphburning.__file__).parent
-    names = [f"graphburning.{info.name}" for info in pkgutil.iter_modules([str(package)])
-             if info.name != "__main__"]  # runs the CLI on import
+PACKAGE = Path(graphburning.__file__).parent
+
+
+def _modules_added_by(names: list[str]) -> list[str]:
+    """The modules that importing these names loads into a fresh interpreter."""
     code = ("import sys\nbefore = set(sys.modules)\n"
             + "".join(f"import {name}\n" for name in names)
             + "print(*sorted(set(sys.modules) - before))\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=str(package.parent)))
-    added = done.stdout.split()
+                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    return done.stdout.split()
+
+
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    """Every call pays the package import, so it leaves out these modules:
+    records are named tuples, and only rational arithmetic imports fractions."""
+    names = [f"graphburning.{info.name}" for info in pkgutil.iter_modules([str(PACKAGE)])
+             if info.name != "__main__"]  # runs the CLI on import
+    added = _modules_added_by(names)
     assert set(names) <= set(added)
     assert {"dataclasses", "inspect", "fractions"}.isdisjoint(added)
+
+
+def test_pipeline_import_leaves_out_morphisms_maps_and_verify():
+    """The layers that the CLI and the benchmark worker import load no code
+    that only the category of burnings, induced maps or `verify` runs."""
+    layers = ["graphburning"] + [f"graphburning.{name}" for name in
+                                 ("cli", "graphs", "burning", "complexes", "homology",
+                                  "exactlinalg")]
+    added = _modules_added_by(layers)
+    assert set(layers) <= set(added)
+    assert {"graphburning.morphisms", "graphburning.maps", "graphburning.verify"}.isdisjoint(added)
+
+
+def test_lazy_exports_are_their_home_modules_names():
+    """Each name loaded on first use is its home module's object, under `__all__`."""
+    assert sorted(set(graphburning._LAZY.values())) == ["maps", "morphisms"]
+    assert set(graphburning._LAZY) <= set(graphburning.__all__) <= set(dir(graphburning))
+    for name, home in graphburning._LAZY.items():
+        assert getattr(graphburning, name) is getattr(
+            importlib.import_module(f"graphburning.{home}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        graphburning.no_such_name
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from graphburning import *", namespace)
+    assert set(graphburning.__all__) <= namespace.keys()
 
 
 P2, P3 = path_graph(2), path_graph(3)
