@@ -12,8 +12,9 @@ holds the counts and the median, min and max over its runs of every time
 and of the peak RSS.  The layers, in pipeline order:
 
 - `search`: `burning._search`, the burning search;
-- `maximal`: `complexes._maximal`, the facet absorption of the complex
-  constructor, run on `configuration_space` and on the strong core;
+- `maximal`: `complexes._maximal`, the facet absorption that runs inside the
+  complex constructor, once for `configuration_space` and once for each
+  vertex the strong core deletes;
 - `strong_core`: `complexes._strong_core`;
 - `faces`, `boundaries`, `square_zero`: `complexes._face_lattice`, which
   builds every face of a complex once, the rest of `homology.chain_complex`,

@@ -4,11 +4,12 @@ A complex is a vertex count plus the antichain of inclusion-maximal simplexes
 as vertex bitmasks (bit v set iff v is in the facet); `facets` views them as
 ascending tuples, and its face lattice (`lattice`), built once, holds every
 face as a mask.  The constructor keeps the maximal masks it is given
-(`_maximal`), so a complex is the one its masks generate.  The burning
-configuration space of a graph is the complex generated by the source sets of
-all its burnings, the masks of the memoised burning search.  Simplicial maps
-live in `maps`, and `is_burning_extension`, which compares two configuration
-spaces, in `morphisms`.
+(`_maximal`), so a complex is the one its masks generate; `configuration_space`
+and each vertex deletion of the strong core (`_strong_core`) absorb through it.
+The burning configuration space of a graph is the complex generated by the
+source sets of all its burnings, the masks of the memoised burning search.
+Simplicial maps live in `maps`, and `is_burning_extension`, which compares two
+configuration spaces, in `morphisms`.
 """
 
 from __future__ import annotations
@@ -162,26 +163,23 @@ def _strong_core(c: SimplicialComplex) -> SimplicialComplex:
     """The complex left once no vertex is dominated, relabelled 0..m-1.
 
     v is dominated when every facet holding v also holds some fixed v' != v.
-    The vertex dominating v stays, so no component is lost.
+    The vertex dominating v stays, so no component is lost.  Each pass visits
+    v in ascending order; deleting v moves the vertices above it down by one,
+    and the constructor absorbs the shrunken facets.
     """
-    masks = list(c.masks)
-    vertices = list(range(c.vertex_count))
-    while True:
-        survivors = []
-        for v in vertices:
+    core, deleted = c, True
+    while deleted:
+        deleted, v = False, 0
+        while v < core.vertex_count:
             bit = 1 << v
             common = -1
-            for m in masks:
+            for m in core.masks:
                 if m & bit:
                     common &= m
             if common == bit:
-                survivors.append(v)
+                v += 1
                 continue
-            masks = _maximal(m & ~bit for m in masks)
-        if len(survivors) == len(vertices):
-            break
-        vertices = survivors
-    if len(vertices) == c.vertex_count:
-        return c
-    return SimplicialComplex(len(vertices), frozenset(
-        sum(1 << i for i, v in enumerate(vertices) if m >> v & 1) for m in masks))
+            low, deleted = bit - 1, True
+            core = SimplicialComplex(core.vertex_count - 1,
+                                     {m & low | m >> 1 & ~low for m in core.masks})
+    return core

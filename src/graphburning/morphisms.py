@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
+from . import burning
 from .burning import (
-    _WITNESS_VERTICES,
     Burning,
     BurningError,
     SizeGuardExceeded,
@@ -321,10 +321,10 @@ def extremal_path_report(kind: str, param: int) -> ExtremalPathReport:
     if kind not in _EXTREMAL_N:
         raise ValueError(f"unknown extremal kind {kind!r}")
     n = _EXTREMAL_N[kind][0](param)
-    if n > _WITNESS_VERTICES:
+    if n > burning._WITNESS_VERTICES:  # read at call time, like burning's own guard
         raise SizeGuardExceeded(
             f"the {kind} witness at {param} needs P{n}, past the witness "
-            f"budget of {_WITNESS_VERTICES:,} vertices")
+            f"budget of {burning._WITNESS_VERTICES:,} vertices")
     one_based = _closed_form_witness(kind, param)
     b = validate_burning(path_graph(n), tuple(v - 1 for v in one_based))
     if not _witness_ok(kind, param, b):

@@ -391,8 +391,6 @@ def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
     Exponential in the matrix size; intended for small test matrices only.
     """
-    from itertools import combinations
-
     m = [list(row) for row in matrix]
     rows, cols = len(m), len(m[0]) if m else 0
 

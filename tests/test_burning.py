@@ -994,7 +994,7 @@ def test_extremal_bounds_are_tight():
 
 def test_extremal_witness_budget(monkeypatch):
     """A witness path past the budget is refused before it is built."""
-    monkeypatch.setattr(morphisms, "_WITNESS_VERTICES", 9)
+    monkeypatch.setattr(burning, "_WITNESS_VERTICES", 9)
     monkeypatch.setattr(morphisms, "path_graph", lambda n: pytest.fail(f"built P{n}")
                         if n > 9 else path_graph(n))
     assert extremal_path_report("max-n-for-T", 3).n == 9

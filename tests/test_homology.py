@@ -502,7 +502,7 @@ def test_path_cores_match_kozlov():
     # Kozlov (JCTA 1999): Ind(P_n) is a point for n = 3k+1 and S^{k-1} for
     # n = 3k-1 or n = 3k; the core is that point or the boundary of the
     # k-cross-polytope, so it certifies the homotopy type.
-    for n in range(1, 21):
+    for n in range(1, 23):
         core = _strong_core(configuration_space(path_graph(n)))
         k, r = divmod(n + 1, 3)
         if r == 2:
