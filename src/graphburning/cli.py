@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from .burning import (
     Burning,
@@ -116,28 +115,29 @@ def _burning_record(b, one_based: bool) -> dict:
 def cmd_burnings(args) -> int:
     """Stream the listing: each burning is written as the walk yields it.
 
-    The JSON bytes are those of `json.dumps(record, sort_keys=True)` on the
-    whole record, whose key "burnings" sorts before "schema" and
-    "vertex_count".  Records are encoded a batch at a time, a list with its
-    brackets cut off, since each `encode` call builds a new encoder.
-    `iter_burnings` refuses before any byte is written.
+    JSON records are written from each burning's fields, bytes pinned to
+    `json.dumps(record, sort_keys=True)` on the whole record; times and labels
+    read one table of strings.  `iter_burnings` refuses before any write.
     """
     g = load_graph(args.graph)
     burnings = iter_burnings(g)
     write = sys.stdout.write
+    label = [str(v) for v in range(g.vertex_count + 2)]
+    source_label = label[1:] if args.one_based else label
     if args.format == "json":
-        encode = json.JSONEncoder(sort_keys=True).encode
-        records = (_burning_record(b, args.one_based) for b in burnings)
         write('{"burnings": [')
         separator = ""
-        while batch := list(islice(records, 32)):
-            write(separator + encode(batch)[1:-1])
+        for b in burnings:
+            write(f'{separator}{{"end_time": {b.end_time}, "is_homomorphism": '
+                  f'{"true" if b.is_homomorphism else "false"}, '
+                  f'"lambda": [{", ".join([label[t] for t in b.times])}], '
+                  f'"sources": [{", ".join([source_label[v] for v in b.sources])}]}}')
             separator = ", "
         write(f'], "schema": {SCHEMA}, "vertex_count": {g.vertex_count}}}\n')
     else:
         for b in burnings:
             hom = " hom" if b.is_homomorphism else ""
-            write(f"sources {','.join(map(str, shift(b.sources, args.one_based)))} "
+            write(f"sources {','.join([source_label[v] for v in b.sources])} "
                   f"end_time {b.end_time}{hom}\n")
         write(f"total {burning_count(g)}\n")
     return 0

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -139,7 +140,9 @@ def test_burnings_text_command(capsys):
     assert out.splitlines()[1] == "sources 2 end_time 2 hom"
 
 
-STREAMED_GRAPHS = ([f"path:{n}" for n in range(1, 9)] + [f"cycle:{n}" for n in range(3, 9)]
+# path:11 (616 burnings) and cycle:11 (374) carry the two-digit labels 10 and 11.
+STREAMED_GRAPHS = ([f"path:{n}" for n in (*range(1, 9), 11)]
+                   + [f"cycle:{n}" for n in (*range(3, 9), 11)]
                    + [f"sum:{k},path:2" for k in range(1, 5)]
                    + ["cube", "n 6\n0 1\n1 2\n3 4\n"])
 
@@ -303,8 +306,9 @@ def test_listing_budget_fails_fast(capsys, monkeypatch):
 
 
 def test_oversized_listing_is_refused_at_once(capsys):
-    code, out, err = run(capsys, "burnings", "sum:7,path:2")
-    assert code == 2 and not out and "has 645,120 burnings" in err
+    for flags in ([], ["--format", "json"]):
+        code, out, err = run(capsys, *flags, "burnings", "sum:7,path:2")
+        assert code == 2 and not out and "has 645,120 burnings" in err
 
 
 def test_bitmask_budget_fails_fast(capsys, monkeypatch):
@@ -462,6 +466,28 @@ def test_ladder_runs_its_smallest_rung():
     # The import path of a pipeline command: the pipeline's layers, and no more.
     assert cold["modules"] == ["graphburning"] + [f"graphburning.{name}" for name in sorted(
         ("cli", "graphs", "burning", "complexes", "homology", "exactlinalg"))]
+
+
+def test_ab_compares_a_ref_with_the_working_tree():
+    """`scripts/ab.py` runs one interleaved pair, HEAD against the working tree."""
+    root = Path(__file__).parents[1]
+    if not (shutil.which("git") and subprocess.run(
+            ["git", "rev-parse", "--verify", "HEAD"], cwd=root, capture_output=True).returncode == 0):
+        pytest.skip("not a git checkout")
+    done = subprocess.run([sys.executable, str(root / "scripts" / "ab.py"), "HEAD",
+                           "--workload", "sum-burn", "--pairs", "1", "--seconds", "1"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# A = HEAD, B = working tree; --workload sum-burn --pairs 1 --seconds 1"
+    assert lines[-1] == "correct runs: 2 of 2"
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [(row[0], row[1]) for row in rows] == [(m["name"], m["unit"]) for m in metrics]
+    for _, _, a, a_quartiles, b, b_quartiles, won in rows:
+        # One pair: each side's quartiles are its one value.
+        assert a_quartiles == f"({a}..{a})" and b_quartiles == f"({b}..{b})" and float(a) > 0
+        assert won in ("0/1", "1/1")
 
 
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):
