@@ -13,11 +13,13 @@ machine lands on both sides (Kalibera and Jones, "Rigorous benchmarking in
 reasonable time", ISMM 2013).
 
 For each end-to-end metric of the working tree's BENCHMARK.json the report
-gives each side's median and quartiles over the pairs, and the number of
-pairs the working tree won (ties count for neither).  The script exits 1 if
-any run reports output that is not `correct`, and 2 if a run fails.  It only
-runs the benchmark: neither tree's `perfbench/` nor `BENCHMARK.json` is
-edited, and the temporary directories are deleted.
+gives each side's median and quartiles over the pairs, the number of pairs
+the working tree won (ties count for neither), and a verdict: `gain` when
+there are at least ten pairs, B won at least nine tenths of them and B's
+median beats A's by more than A's interquartile range q3 - q1, else `-`.
+The script exits 1 if any run reports output that is not `correct`, and 2
+if a run fails.  It only runs the benchmark: neither tree's `perfbench/` nor
+`BENCHMARK.json` is edited, and the temporary directories are deleted.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(a: list[float], b: list[float], won: int, sign: int) -> str:
+    """`gain` if B's win is one a claim may rest on, else `-`."""
+    q1, q3 = quartiles(a)
+    lead = sign * (statistics.median(a) - statistics.median(b))
+    return "gain" if len(a) >= 10 and 10 * won >= 9 * len(a) and lead > q3 - q1 else "-"
+
+
 def report(ref: str, workload: str, seconds: float, metrics: list[dict],
            runs: list[tuple[dict, dict]]) -> None:
     print(f"# A = {ref}, B = working tree; --workload {workload} "
           f"--pairs {len(runs)} --seconds {seconds:g}")
     print(f"{'metric':<14} {'unit':<5} {'A median (q1..q3)':<28} "
-          f"{'B median (q1..q3)':<28} B won")
+          f"{'B median (q1..q3)':<28} {'B won':<6} verdict")
     for metric in metrics:
         name = metric["name"]
         a = [pair[0]["metrics"][name]["value"] for pair in runs]
@@ -91,7 +100,8 @@ def report(ref: str, workload: str, seconds: float, metrics: list[dict],
         won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
         sides = [f"{statistics.median(v):.4g} ({'..'.join(f'{q:.4g}' for q in quartiles(v))})"
                  for v in (a, b)]
-        print(f"{name:<14} {metric['unit']:<5} {sides[0]:<28} {sides[1]:<28} {won}/{len(runs)}")
+        print(f"{name:<14} {metric['unit']:<5} {sides[0]:<28} {sides[1]:<28} "
+              f"{f'{won}/{len(runs)}':<6} {verdict(a, b, won, sign)}")
 
 
 def main() -> int:

@@ -16,14 +16,16 @@ end, for whether the last step burned anything.  One search memoised on
 N[S] gives the source sets, the burning number and the number of burnings
 (`burning_count`); a lazy walk memoised the same way yields the ordered
 burnings one at a time (`iter_burnings`, which counts first and so refuses
-an oversized listing before it yields anything).  A burning reads its
-homomorphism flag off its time function (`Burning.is_homomorphism`: no edge
-inside one time class), with no graph map built; `burning_map` certifies the
-map itself.  Every exponential search stops with `SizeGuardExceeded` past a
-constant budget of work (residual states, listed burnings), not of size, and
-the bitmasks are not built for a graph past a constant vertex count.  The
-category of burnings (morphisms, b-burned subgraphs, extensions, extremal
-paths) builds on the same burn step in `morphisms`.
+an oversized listing before it yields anything).  A burning carries its
+homomorphism flag as a field (`Burning.is_homomorphism`: no edge inside one
+time class), with no graph map built: the walk ANDs it over the steps of
+its path, and a record built from four fields takes it from the edges;
+`burning_map` certifies the map itself.  Every exponential search stops
+with `SizeGuardExceeded` past a constant budget of work (residual states,
+listed burnings), not of size, and the bitmasks are not built for a graph
+past a constant vertex count.  The category of burnings (morphisms,
+b-burned subgraphs, extensions, extremal paths) builds on the same burn
+step in `morphisms`.
 """
 
 from __future__ import annotations
@@ -91,31 +93,41 @@ def check_sources(g: Graph, sources: Sequence[int]) -> tuple[int, ...]:
     return s
 
 
-class Burning(namedtuple("Burning", "graph sources times end_time")):
-    """A validated burning: sources, per-vertex burning times, end time."""
+def _homomorphic(g: Graph, times: Sequence[int]) -> bool:
+    """The edge rule: no edge joins two vertices that burn at the same step."""
+    return all(times[v] != times[w] for v, w in g.edges)
+
+
+class Burning(namedtuple("Burning", "graph sources times end_time is_homomorphism")):
+    """A validated burning: sources, per-vertex burning times, end time, and
+    whether the burning map to the end-time path is a homomorphism.
+
+    The time function is a graph map to P_T, so it is one iff no edge joins
+    two vertices that burn at the same step; `burning_map` is the certified
+    map.  The listing sets the flag step by step; a record built with four
+    fields takes it from the edges.
+    """
 
     __slots__ = ()
     graph: Graph
     sources: tuple[int, ...]
     times: tuple[int, ...]
     end_time: int
+    is_homomorphism: bool
+
+    def __new__(cls, graph: Graph, sources: tuple[int, ...], times: tuple[int, ...],
+                end_time: int, is_homomorphism: bool | None = None) -> Burning:
+        if is_homomorphism is None:
+            if len(times) != graph.vertex_count:
+                raise InvariantError(f"{len(times)} times for {graph.vertex_count} vertices")
+            is_homomorphism = _homomorphic(graph, times)
+        return tuple.__new__(cls, (graph, sources, times, end_time, is_homomorphism))
 
     def time(self, v: int) -> int:
         return self.times[v]
 
     def source_set(self) -> frozenset[int]:
         return frozenset(self.sources)
-
-    @property
-    def is_homomorphism(self) -> bool:
-        """Whether the burning map to the end-time path is a homomorphism.
-
-        The time function is a graph map to P_T, so it is one iff no edge
-        joins two vertices that burn at the same step; `burning_map` is the
-        certified map.
-        """
-        t = self.times
-        return all(t[v] != t[w] for v, w in self.graph.edges)
 
     def check_invariants(self) -> None:
         n = self.graph.vertex_count
@@ -138,6 +150,9 @@ class Burning(namedtuple("Burning", "graph sources times end_time")):
         for a, b in zip(self.sources, self.sources[1:]):
             if self.graph.has_edge(a, b):
                 raise InvariantError(f"consecutive sources {a},{b} adjacent")
+        if self.is_homomorphism != _homomorphic(self.graph, self.times):
+            raise InvariantError(f"is_homomorphism={self.is_homomorphism} disagrees with "
+                                 f"the edges")
 
     def to_record(self) -> dict:
         return {
@@ -231,18 +246,32 @@ def _burnings(g: Graph) -> Iterator[Burning]:
     later.  So a node writes the times of its children and yields a leaf
     (N[S'] the whole graph) in place; its end time is the child's step if
     N[S'] != S', else the step before (a leaf has no admissible source, so
-    no burning sequence is a proper prefix of another).  It follows the
-    states the search meets, so `iter_burnings` bounds it with the search's
-    state budget and count before it starts.
+    no burning sequence is a proper prefix of another).  The homomorphism
+    flag rides down the path: a step's class is (N[S] - S) | {v}, so the
+    step stays clean iff N[S] - S is independent and N[v] misses it, and a
+    leaf's last class N[S'] - S' has no source.  Independence is memoised
+    per mask and tested only while the flag holds.  It follows the states
+    the search meets, so `iter_burnings` bounds it with the search's state
+    budget and count before it starts.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, list[tuple[int, int, int, tuple[int, ...]]]] = {}
+    independent: dict[int, bool] = {}
     times = [0] * g.vertex_count
     prefix: list[int] = []
 
-    def walk(s: int, ns: int) -> Iterator[Burning]:
+    def clean(m: int) -> bool:
+        """Whether no edge joins two vertices of the bitmask m."""
+        found = independent.get(m)
+        if found is None:
+            found = independent[m] = all([nbhd[w] & m == 1 << w for w in _vertices(m)])
+        return found
+
+    def walk(s: int, ns: int, hom: bool) -> Iterator[Burning]:
         step = len(prefix) + 1
+        now = ns & ~s  # the class of this step, less its source
+        hom = hom and clean(now)
         children = memo.get(ns)
         if children is None:
             free, _, nns = _expand(nbhd, whole, s, ns)
@@ -255,13 +284,16 @@ def _burnings(g: Graph) -> Iterator[Burning]:
             for w in ones:
                 times[w] = step + 1
             prefix.append(v)
+            ok = hom and not nbhd[v] & now
             if near != whole:
-                yield from walk(child, near)
-            else:
-                yield Burning(g, tuple(prefix), tuple(times), step + 1 if ones else step)
+                yield from walk(child, near, ok)
+            else:  # the fields are right by construction; the last class has no source
+                yield tuple.__new__(Burning, (g, tuple(prefix), tuple(times),
+                                              step + 1 if ones else step,
+                                              ok and clean(near & ~child)))
             prefix.pop()
 
-    return walk(0, 0)
+    return walk(0, 0, True)
 
 
 def iter_burnings(g: Graph) -> Iterator[Burning]:

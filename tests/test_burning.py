@@ -241,7 +241,7 @@ def test_enumeration_matches_literal_filtration(g):
 
 
 def _listed(burnings):
-    return [(b.sources, b.times, b.end_time) for b in burnings]
+    return [(b.sources, b.times, b.end_time, b.is_homomorphism) for b in burnings]
 
 
 @given(graphs(max_vertices=7))

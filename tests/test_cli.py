@@ -484,10 +484,10 @@ def test_ab_compares_a_ref_with_the_working_tree():
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     rows = [line.split() for line in lines[2:-1]]
     assert [(row[0], row[1]) for row in rows] == [(m["name"], m["unit"]) for m in metrics]
-    for _, _, a, a_quartiles, b, b_quartiles, won in rows:
-        # One pair: each side's quartiles are its one value.
+    for _, _, a, a_quartiles, b, b_quartiles, won, verdict in rows:
+        # One pair: each side's quartiles are its one value, and no gain is claimed.
         assert a_quartiles == f"({a}..{a})" and b_quartiles == f"({b}..{b})" and float(a) > 0
-        assert won in ("0/1", "1/1")
+        assert won in ("0/1", "1/1") and verdict == "-"
 
 
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):

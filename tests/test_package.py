@@ -197,6 +197,11 @@ REFUSALS = {
                       MorphismError, r"vertex 1 burns at time 5, outside 1\.\.3"),
     "time-zero": (lambda: validate_morphism(identity_map(P2), TIME_ZERO, TIME_ZERO),
                   MorphismError, r"vertex 0 burns at time 0, outside 1\.\.1"),
+    # A hand-built flag is checked against the edges; four fields take it from them.
+    "burning-flag-disagrees": (lambda: Burning(P2, (0,), (1, 2), 2, False).check_invariants(),
+                               InvariantError, "is_homomorphism=False disagrees with the edges"),
+    "burning-short-times": (lambda: Burning(P2, (0,), (1,), 1), InvariantError,
+                            "1 times for 2 vertices"),
     "morphism-endpoints": (lambda: validate_morphism(identity_map(P3), B2, B2),
                            MorphismError, "graph map endpoints do not match"),
     "negative-free-rank": (lambda: HomologyGroup(-1), InvariantError, "bad homology group"),
