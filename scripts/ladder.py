@@ -6,16 +6,20 @@
 Each rung runs in `RUNG_RUNS` fresh interpreters: `configuration_space(g)`,
 then `homology(c, reduced=True)`, with the self time of each layer (a
 wrapped layer's time minus the time of the wrapped layers it calls), the
-peak RSS and the counts: source sets, facets, the cells of the strong core
-that homology builds, and the cells left after coreduction.  A rung's row
-holds the counts and the median, min and max over its runs of every time
-and of the peak RSS.  The layers, in pipeline order:
+peak RSS and the counts: source sets, facets, the join factors of the strong
+core, the cells of their chain complexes, which are all the cells homology
+builds, and the cells left after coreduction.  A rung's row holds the counts
+and the median, min and max over its runs of every time and of the peak
+RSS.  The layers, in pipeline order:
 
 - `search`: `burning._search`, the burning search;
 - `maximal`: `complexes._maximal`, the facet absorption that runs inside the
   complex constructor, once for `configuration_space` and once for each
   vertex the strong core deletes;
 - `strong_core`: `complexes._strong_core`;
+- `join`: the rest of `homology._reduction`: splitting the core into join
+  factors, Milnor's formula, and reading each factor's groups off its
+  Smith forms;
 - `faces`, `boundaries`, `square_zero`: `complexes._face_lattice`, which
   builds every face of a complex once, the rest of `homology.chain_complex`,
   and its boundary-squared check;
@@ -51,7 +55,8 @@ RUNGS = ([(f"P{n}", f"path:{n}") for n in range(10, 21)] + [("P24", "path:24"), 
          + [(f"{k}xP2", f"sum:{k},path:2") for k in (5, 6, 7, 10, 11)]
          + [("cube", "cube"), ("corpus", None)])
 LAYERS = (("burning", "_search", "search"), ("complexes", "_maximal", "maximal"),
-          ("complexes", "_strong_core", "strong_core"), ("complexes", "_face_lattice", "faces"),
+          ("complexes", "_strong_core", "strong_core"), ("homology", "_reduction", "join"),
+          ("complexes", "_face_lattice", "faces"),
           ("homology", "chain_complex", "boundaries"),
           ("homology", "_assert_square_zero", "square_zero"),
           ("homology", "_coreduce", "coreduce"), ("exactlinalg", "smith_normal_form", "smith"))
@@ -119,11 +124,13 @@ def measure_rung(name: str) -> dict:
     counts = defaultdict(int)
     for g in graphs:
         c = complexes.configuration_space(g)
-        core = complexes._strong_core(c)
+        factors = homology._join_factors(complexes._strong_core(c))
         counts["source_sets"] += len(burning._search(g)[0])
         counts["facets"] += len(c.masks)
-        counts["cells"] += sum(map(len, core.lattice))
-        counts["cells_left"] += sum(homology._reduction(c)[1])
+        counts["factors"] += len(factors)
+        for f in factors:
+            counts["cells"] += sum(map(len, f.lattice))
+            counts["cells_left"] += sum(map(sum, homology._coreduce(homology.chain_complex(f))[1]))
     return dict(row, **counts)
 
 

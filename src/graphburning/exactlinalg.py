@@ -4,16 +4,16 @@ Sparse vectors are dicts {index: value} with zeros dropped, and a sparse
 matrix is a list of them.  The Smith form reads its input as rows, given
 either as such dicts or as dense lists, and reduces them in one elimination
 loop on Python's arbitrary precision ints, so each pivot costs work in the
-nonzero entries rather than the matrix's area.  Homology over every
-coefficient ring is read off the integer Smith form by universal
-coefficients.  The sparse field echelon of induced maps lives in `maps`, and
-the determinantal-divisor oracle for the Smith form in `verify`.
+nonzero entries rather than the matrix's area; `invariant_factors` puts its
+non-unit entries, and the torsion of a join, into divisibility order.  The
+sparse field echelon of induced maps lives in `maps`, and the
+determinantal-divisor oracle for the Smith form in `verify`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd
 
 Vector = dict[int, int]
@@ -99,10 +99,16 @@ def smith_normal_form(matrix: Sequence[Sequence[int] | Mapping[int, int]]) -> Sm
         if len(pivot_row) == 1:
             diagonal.append(abs(p))
             del rows[i]
+    chain = invariant_factors(diagonal)
+    return SmithForm((1,) * (len(diagonal) - len(chain)) + chain, len(diagonal))
+
+
+def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors above 1 of the sum of the cyclic groups Z/d, d in orders."""
     # diag(a, b) ~ diag(gcd, lcm) orders the non-units into a divisibility chain.
-    chain = [d for d in diagonal if d != 1]
+    chain = [d for d in orders if d != 1]
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
             g = gcd(chain[a], chain[b])
             chain[a], chain[b] = g, chain[a] // g * chain[b]
-    return SmithForm((1,) * (len(diagonal) - len(chain)) + tuple(chain), len(diagonal))
+    return tuple(d for d in chain if d != 1)

@@ -4,35 +4,37 @@ The bases are the levels of the complex's face lattice, vertex bitmasks in
 lexicographic order; the boundary of [u_0 < ... < u_q] clears one bit at a
 time, sign (-1)^i for u_i.  Each boundary is stored once, as sparse columns
 {face index: sign} on those bases, and every consumer reads that one form.
-Before it builds any face, `homology()` strong-collapses the complex to its
-core (`complexes._strong_core`), which keeps the homotopy type (Barmak-Minian,
-Strong homotopy types, nerves and collapses, DCG 2012; on an independence
-complex this is Engstrom's fold lemma).  conf(P_n) collapses to a point or to
-the boundary of a cross-polytope, Kozlov's homotopy type.  The degrees the
-core lost are reported as zero groups up to the input's dimension.  The core
-is then shrunk by coreduction (Mrozek-Batko, Coreduction homology algorithm,
-DCG 2009): each vertex still alive is taken out as a generator of H_0, and
-cells that have a single remaining boundary face are removed together with
-that face, which keeps the integer homology.  Homology over Z, Q and F_p all
-comes from one integer Smith normal form per restricted boundary of the
-surviving cells: by universal coefficients a boundary's rank over Q is the
-length of its Smith diagonal and over F_p the number of entries p does not
-divide.  That reduction (the strong core, its chain complex with the
-boundary-squared check, the coreduction and the Smith forms) is cached per
-complex, so every ring after the first, and the reduced groups, cost only the
-rank read-out.  `euler_characteristic` counts the lattice levels of the
-whole complex.  Induced maps, which need cycles of the whole complex, live in
-`maps`, with the sparse field echelon they use.
+The route of `homology()` is strong core -> join split -> coreduction ->
+Smith forms.  Before it builds any face, it strong-collapses the complex to
+its core (`complexes._strong_core`), which keeps the homotopy type
+(Barmak-Minian, Strong homotopy types, nerves and collapses, DCG 2012; on an
+independence complex this is Engstrom's fold lemma): conf(P_n) collapses to
+a point or to the boundary of a cross-polytope, Kozlov's homotopy type.  The
+degrees the core lost are reported as zero groups.  `_join_factors` splits
+the core into join factors, such as the S^0s of a cross-polytope.  Each
+factor is shrunk by coreduction (Mrozek-Batko, Coreduction homology
+algorithm, DCG 2009): each vertex still alive is taken out as a generator of
+H_0, and a cell with a single remaining boundary face is removed together
+with that face, which keeps the integer homology.  The Smith forms of the
+surviving cells' restricted boundaries give the factor's reduced integer
+groups, and Milnor's join formula combines them (`_join_groups`), so no face
+of the join is built.  Every ring is read from those integer groups by
+universal coefficients.  The reduction is cached per complex, so every ring
+after the first, and the reduced groups, cost only the read-out.
+`euler_characteristic` counts the lattice levels of the whole complex.
+Induced maps, which need cycles of the whole complex, live in `maps`, with
+the sparse field echelon they use.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
 from typing import Sequence
 
 from .complexes import SimplicialComplex, _strong_core
-from .exactlinalg import InvariantError, Vector, apply_columns, smith_normal_form
+from .exactlinalg import InvariantError, Vector, apply_columns, invariant_factors, smith_normal_form
 from .graphs import _vertices
 
 
@@ -77,6 +79,9 @@ def _assert_square_zero(cc: ChainComplexZ) -> None:
         lower = cc.boundary(q - 1) if q > 1 else [{0: 1}] * cc.dims[0]
         if any(apply_columns(lower, column) for column in cc.boundary(q)):
             raise InvariantError(f"boundary squared is nonzero out of degree {q}")
+
+
+Groups = tuple[tuple[int, tuple[int, ...]], ...]  # reduced: (free rank, torsion) by degree
 
 
 class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion")):
@@ -125,45 +130,99 @@ def parse_coeff(coeff: str) -> int | None:
 
 def homology(c: SimplicialComplex, reduced: bool = False,
              coeff: str = "z") -> list[HomologyGroup]:
-    """Homology groups per degree 0..dim c.
-
-    The free rank in degree q is (#surviving q-cells) - rank(d_q) -
-    rank(d_{q+1}), plus the H_0 generators taken out (one fewer when
-    reduced; a complex always has a vertex), with the ranks read off
-    the Smith diagonals of `_reduction`: over Z or Q the rank is the diagonal
-    length, over F_p the count of entries p does not divide.  Over Z the
-    torsion is the part of SNF(d_{q+1}) above 1; over a field it is empty.
+    """Homology groups per degree 0..dim c, read off the reduced integer
+    groups of `_reduction`: over Z those, over Q their free ranks, over F_p
+    (universal coefficients) the free rank plus the torsion orders p divides
+    in degrees q and q - 1.  Unless reduced, H_0 gains one free generator.
     """
     p = parse_coeff(coeff)
-    generators, cells, diagonals = _reduction(c)
-    ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
-    return [HomologyGroup(
-        cells[q] + (generators - reduced if q == 0 else 0) - ranks[q] - ranks[q + 1],
-        () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
-        for q in range(len(cells))]
+    groups = _reduction(c)
+    # shared[q + 1] counts the cyclic summands of degree q that p divides.
+    shared = [0] + [sum(1 for t in torsion if p and t % p == 0) for _, torsion in groups]
+    return [HomologyGroup(free + (q == 0 and not reduced) + shared[q] + shared[q + 1],
+                          () if p is not None else torsion)
+            for q, (free, torsion) in enumerate(groups)]
 
 
 # One integer reduction per complex, read by every coefficient ring: the
 # survey asks each complex for its homology over Z, Q and F_2 in turn.
 @lru_cache(maxsize=8)
-def _reduction(c: SimplicialComplex) -> tuple[
-        int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The H_0 generators taken out by `_coreduce`, the surviving cells per
-    degree, and the Smith diagonal of each restricted boundary d_q for
-    q = 0..dim c + 1 (empty at both ends), all read on the strong core of c."""
-    core = _strong_core(c)
+def _reduction(c: SimplicialComplex) -> Groups:
+    """The reduced integer groups of c in degrees 0..dim c: those of the join
+    factors of its strong core, combined by `_join_groups`, and zero in the
+    degrees the core lost."""
+    groups = reduce(_join_groups, map(_core_groups, _join_factors(_strong_core(c))))
+    return groups + ((0, ()),) * (c.dimension + 1 - len(groups))
+
+
+def _join_factors(c: SimplicialComplex) -> list[SimplicialComplex]:
+    """Complexes relabelled 0..k-1 whose join is c, or [c] (README, "Disjoint unions").
+
+    A join factor is a union of components of the non-edge graph (u ~ v when
+    no facet holds both).  F -> (F & A, F - A) is one-to-one on the facets F,
+    so a component A splits off iff |{F & A}| * |{F - A}| = |facets|; one that
+    fails stays in the rest.  A factor of a strong core is a strong core.
+    """
+    whole = (1 << c.vertex_count) - 1
+    near = [0] * c.vertex_count  # near[v]: the vertices that share a facet with v
+    for m in c.masks:
+        bits = m
+        while bits:
+            low = bits & -bits
+            near[low.bit_length() - 1] |= m
+            bits ^= low
+    parts, unseen = [], whole
+    while unseen:
+        part = grow = unseen & -unseen
+        while grow:  # a search on the non-edge graph from unseen's lowest vertex
+            low = grow & -grow
+            new = whole & ~near[low.bit_length() - 1] & ~part
+            part, grow = part | new, grow ^ low | new
+        parts.append(part)
+        unseen &= ~part
+    pieces, masks, rest = [], c.masks, whole
+    for part in parts[:-1]:
+        inside, outside = {m & part for m in masks}, {m & ~part for m in masks}
+        if len(inside) * len(outside) == len(masks):
+            pieces.append((inside, part))
+            masks, rest = outside, rest & ~part
+    if not pieces:
+        return [c]
+    return [SimplicialComplex(part.bit_count(), {
+        sum(1 << i for i, v in enumerate(_vertices(part)) if m >> v & 1) for m in inside})
+        for inside, part in pieces + [(masks, rest)]]
+
+
+def _core_groups(core: SimplicialComplex) -> Groups:
+    """The reduced integer groups of core, degrees 0..dim core: its chain
+    complex, coreduced, and the Smith diagonal of each restricted boundary."""
     cc = chain_complex(core)
     generators, alive = _coreduce(cc)
-    top = len(cc.dims) - 1
     # The columns of d_q are the rows of its transpose, which has the same Smith form.
     diagonals = [()] + [smith_normal_form(
         [{i: x for i, x in cc.boundary(q)[j].items() if alive[q - 1][i]}
          for j in range(cc.dims[q]) if alive[q][j]]).diagonal
-        for q in range(1, top + 1)] + [()]
-    # The core may have lost top degrees; they have no cells and no boundary.
-    missing = c.dimension - core.dimension
-    return (generators, tuple(sum(a) for a in alive) + (0,) * missing,
-            tuple(diagonals) + ((),) * missing)
+        for q in range(1, len(cc.dims))] + [()]
+    return tuple((sum(alive[q]) + (generators - 1 if q == 0 else 0)
+                  - len(diagonals[q]) - len(diagonals[q + 1]),
+                  tuple(d for d in diagonals[q + 1] if d > 1)) for q in range(len(cc.dims)))
+
+
+def _join_groups(x: Groups, y: Groups) -> Groups:
+    """The reduced integer groups of X * Y by Milnor's formula (Construction of
+    universal bundles II, Ann. Math. 1956): H~_{r+1}(X * Y) is the sum over
+    i + j = r of H~_i(X) (x) H~_j(Y) plus over i + j = r - 1 of Tor(H~_i(X), H~_j(Y))."""
+    free = [0] * (len(x) + len(y) + 1)
+    orders: list[list[int]] = [[] for _ in free]
+    for i, (a, s) in enumerate(x):
+        for j, (b, t) in enumerate(y):
+            # Z (x) Z/t = Z/t, and Z/s (x) Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t).
+            both = [gcd(m, n) for m in s for n in t]
+            free[i + j + 1] += a * b
+            orders[i + j + 1] += list(s) * b + list(t) * a + both
+            orders[i + j + 2] += both
+    # A top degree has no torsion, so the last slot stays empty.
+    return tuple((f, invariant_factors(o)) for f, o in zip(free[:-1], orders))
 
 
 def _coreduce(cc: ChainComplexZ) -> tuple[int, list[bytearray]]:

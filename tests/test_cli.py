@@ -490,6 +490,25 @@ def test_ab_compares_a_ref_with_the_working_tree():
         assert won in ("0/1", "1/1") and verdict == "-"
 
 
+def test_ab_compares_ladder_rungs():
+    """`scripts/ab.py --rungs` runs one interleaved pair of P10's `measure_rung`."""
+    root = Path(__file__).parents[1]
+    if not (shutil.which("git") and subprocess.run(
+            ["git", "rev-parse", "--verify", "HEAD"], cwd=root, capture_output=True).returncode == 0):
+        pytest.skip("not a git checkout")
+    done = subprocess.run([sys.executable, str(root / "scripts" / "ab.py"), "HEAD",
+                           "--rungs", "P10", "--pairs", "1"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "# A = HEAD, B = working tree; --rungs P10 --pairs 1"
+    assert lines[-1] == "rungs with equal source sets and facets: 1 of 1"
+    rows = [line.split() for line in lines[2:-1]]
+    assert [(row[0], row[1]) for row in rows] == [("P10:conf_s", "s"), ("P10:homology_s", "s")]
+    for _, _, a, a_quartiles, b, b_quartiles, won, verdict in rows:
+        assert a_quartiles == f"({a}..{a})" and b_quartiles == f"({b}..{b})"
+        assert won in ("0/1", "1/1") and verdict == "-"
+
+
 def test_a_bug_in_a_command_keeps_its_traceback(monkeypatch):
     """Only refusals become usage errors: a stray KeyError propagates."""
     def bug(args):

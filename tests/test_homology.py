@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,15 @@ from graphburning import (
 )
 from graphburning.complexes import _strong_core
 from graphburning.graphs import Graph
-from graphburning.homology import _assert_square_zero, _coreduce, _reduction, homology_to_record
+from graphburning.exactlinalg import invariant_factors
+from graphburning.graphs import _vertices
+from graphburning.homology import (
+    _assert_square_zero,
+    _coreduce,
+    _join_factors,
+    _reduction,
+    homology_to_record,
+)
 from graphburning.maps import FieldEchelon, chain_map_matrix
 from graphburning.verify import (
     connected_corpus,
@@ -92,6 +101,13 @@ def test_smith_normal_form_known_values():
     assert smith_normal_form([[-2]]).diagonal == (2,)
     assert smith_normal_form([]).diagonal == ()
     assert smith_normal_form([[], []]).diagonal == ()
+
+
+def test_invariant_factors():
+    # Z/6 + Z/10 + Z/15 = (Z/2)^2 + (Z/3)^2 + (Z/5)^2 = (Z/30)^2.
+    assert invariant_factors([6, 10, 15]) == (30, 30)
+    assert invariant_factors([1, 2, 3, 4]) == (2, 12)
+    assert invariant_factors([1, 1]) == invariant_factors([]) == ()
 
 
 def test_smith_form_rejects_broken_chain():
@@ -509,6 +525,71 @@ def test_path_cores_match_kozlov():
             assert core == SimplicialComplex(1, frozenset({0b1})), n
         else:
             _assert_cross_polytope_boundary(core, k)
+
+
+def _subdivision(c):
+    """The barycentric subdivision: a vertex per face of c, and a facet per
+    chain of faces from a facet of c down to a vertex."""
+    index = {m: i for i, m in enumerate(m for level in c.lattice for m in level)}
+
+    def chains(m):
+        if m.bit_count() == 1:
+            yield (index[m],)
+        else:
+            for v in _vertices(m):
+                yield from ((index[m],) + rest for rest in chains(m ^ 1 << v))
+
+    return from_generators(len(index), [tuple(sorted(ch)) for m in c.masks for ch in chains(m)])
+
+
+@st.composite
+def joins(draw):
+    """The join of two or three parts: small random complexes or their strong
+    cores other than a point, which keep the join from collapsing to a point,
+    and RP^2 at most once."""
+    small = complexes(max_vertices=4, max_facets=3)
+    part = st.one_of(small, small.map(_strong_core).filter(lambda c: c.vertex_count > 1))
+    parts = draw(st.lists(part, min_size=1, max_size=3))
+    if len(parts) == 1 or (len(parts) == 2 and draw(st.booleans())):
+        parts.insert(draw(st.integers(0, len(parts))), PROJECTIVE_PLANE)
+    return reduce(join, parts)
+
+
+@given(joins())
+@settings(max_examples=50, deadline=None)
+def test_join_split_matches_unreduced_route(c):
+    _assert_matches_unreduced_route(c)
+
+
+def test_join_split_of_path_and_cycle_cores():
+    # conf(P14)'s core is the boundary of the 5-cross-polytope, five S^0s;
+    # conf(C12)'s core is no join.
+    assert _join_factors(_strong_core(configuration_space(path_graph(14)))) == [S0] * 5
+    core = _strong_core(configuration_space(cycle_graph(12)))
+    assert _join_factors(core) == [core]
+
+
+def test_join_split_keeps_torsion():
+    # Sigma(RP^2) * RP^2 = Sigma(RP^2 * RP^2): Z/2 (x) Z/2 in degree 4 and
+    # Tor(Z/2, Z/2) in degree 5.  RP^2's 1-skeleton is complete, so only S^0
+    # splits off, and RP^2 * RP^2 takes the unsplit route.
+    twisted = join(join(PROJECTIVE_PLANE, S0), PROJECTIVE_PLANE)
+    assert len(_join_factors(twisted)) == 2
+    assert [str(h) for h in homology(twisted)] == ["Z", "0", "0", "0", "Z/2", "Z/2", "0"]
+    assert homology(twisted, reduced=True) == unreduced_homology(twisted, reduced=True)
+    # Over F_2 each Z/2 counts in its degree and the one above.
+    assert [h.free_rank for h in homology(twisted, True, "p:2")] == [0, 0, 0, 0, 1, 2, 1]
+    # The subdivided RP^2 has a connected non-edge graph, so its join with
+    # itself splits in two, and the Z/2 of degree 4 comes from the Tor term alone.
+    sd = _subdivision(PROJECTIVE_PLANE)
+    assert (sd.vertex_count, len(sd.masks)) == (31, 60)
+    assert [str(h) for h in homology(sd)] == ["Z", "Z/2", "0"]
+    squared = join(sd, sd)
+    assert _join_factors(_strong_core(squared)) == [sd, sd]
+    for reduced in (False, True):
+        for coeff in RINGS:
+            assert homology(squared, reduced, coeff) == homology(
+                join(PROJECTIVE_PLANE, PROJECTIVE_PLANE), reduced, coeff), (reduced, coeff)
 
 
 def test_homology_record():
