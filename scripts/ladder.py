@@ -8,9 +8,13 @@ then `homology(c, reduced=True)`, with the self time of each layer (a
 wrapped layer's time minus the time of the wrapped layers it calls), the
 peak RSS and the counts: source sets, facets, the join factors of the strong
 core, the cells of their chain complexes, which are all the cells homology
-builds, and the cells left after coreduction.  A rung's row holds the counts
-and the median, min and max over its runs of every time and of the peak
-RSS.  The layers, in pipeline order:
+builds, and the cells left after coreduction.  It also counts the cycle
+collector's passes during the timed calls (`gc_passes`, from
+`gc.get_stats()`): a pass runs once enough container objects are allocated
+and not yet freed, and it frees only what reference counting could not.
+A rung's row holds the counts and the median, min and max over its runs of
+every time, of the collector passes and of the peak RSS.  The layers, in
+pipeline order:
 
 - `search`: `burning._search`, the burning search;
 - `maximal`: `complexes._maximal`, the facet absorption that runs inside the
@@ -37,6 +41,7 @@ version and the machine.  The whole ladder takes about three minutes.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -93,8 +98,14 @@ def _install_timers(seconds: dict) -> None:
                 setattr(module, name, wrapper)
 
 
+def _collections() -> int:
+    """The cycle collector's passes so far in this process, all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
 def measure_rung(name: str) -> dict:
-    """One rung in this process: its counts, seconds per layer and peak RSS."""
+    """One rung in this process: its counts, seconds per layer, collector passes
+    and peak RSS."""
     from graphburning import burning, complexes
     from graphburning.cli import load_graph
     from graphburning.graphs import Graph
@@ -109,6 +120,7 @@ def measure_rung(name: str) -> dict:
     seconds: dict = defaultdict(float)
     _install_timers(seconds)
     conf_s = homology_s = 0.0
+    passes = _collections()
     for g in graphs:
         start = time.perf_counter()
         c = complexes.configuration_space(g)
@@ -117,7 +129,7 @@ def measure_rung(name: str) -> dict:
         conf_s += middle - start
         homology_s += time.perf_counter() - middle
     row = {"rung": name, "graphs": len(graphs), "conf_s": round(conf_s, 4),
-           "homology_s": round(homology_s, 4),
+           "homology_s": round(homology_s, 4), "gc_passes": _collections() - passes,
            "seconds": {label: round(seconds[label], 4) for _, _, label in LAYERS},
            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     # Counted after the timings, which these calls would otherwise add to.
@@ -167,7 +179,8 @@ def _spread(values: list[float]) -> dict:
 
 def run_rung(name: str) -> dict:
     """One rung in `RUNG_RUNS` fresh interpreters, each with its wall time:
-    the counts (ints, the same in every run) and the spread of each float."""
+    the counts (ints, the same in every run) and the spread of each float
+    and of the collector passes."""
     runs = []
     for _ in range(RUNG_RUNS):
         done, wall = fresh(f"import json, ladder; print(json.dumps(ladder.measure_rung({name!r})))")
@@ -177,7 +190,8 @@ def run_rung(name: str) -> dict:
         if key == "seconds":
             row[key] = {label: _spread([r[key][label] for r in runs]) for label in value}
         else:
-            row[key] = _spread([r[key] for r in runs]) if isinstance(value, float) else value
+            measured = isinstance(value, float) or key == "gc_passes"
+            row[key] = _spread([r[key] for r in runs]) if measured else value
     return dict(row, runs=RUNG_RUNS)
 
 

@@ -268,7 +268,10 @@ def _burnings(g: Graph) -> Iterator[Burning]:
             found = independent[m] = all([nbhd[w] & m == 1 << w for w in _vertices(m)])
         return found
 
-    def walk(s: int, ns: int, hom: bool) -> Iterator[Burning]:
+    # The walk takes itself as an argument: through a closure cell it would
+    # reach itself in a cycle, and keep the memo past the listing until the
+    # collector runs.
+    def walk(walk, s: int, ns: int, hom: bool) -> Iterator[Burning]:
         step = len(prefix) + 1
         now = ns & ~s  # the class of this step, less its source
         hom = hom and clean(now)
@@ -286,14 +289,14 @@ def _burnings(g: Graph) -> Iterator[Burning]:
             prefix.append(v)
             ok = hom and not nbhd[v] & now
             if near != whole:
-                yield from walk(child, near, ok)
+                yield from walk(walk, child, near, ok)
             else:  # the fields are right by construction; the last class has no source
                 yield tuple.__new__(Burning, (g, tuple(prefix), tuple(times),
                                               step + 1 if ones else step,
                                               ok and clean(near & ~child)))
             prefix.pop()
 
-    return walk(0, 0, True)
+    return walk(walk, 0, 0, True)
 
 
 def iter_burnings(g: Graph) -> Iterator[Burning]:
@@ -329,24 +332,22 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
     The region N[S] fixes the admissible sources and every later state, so
     it keys the memo: each region is searched once and maps to the source
     sets of its completions, their least end offset and their number, the
-    sum over its children.  A state with N[S] the whole graph closes a
-    burning and is not stored: its end offset is 0 if some vertex burns at
-    its step (S is not the whole graph) and -1 otherwise.  Past
-    `_SEARCH_STATES` distinct states S met (one per child of a searched
-    region, and the start) it raises `SizeGuardExceeded`.
+    sum over its children.  A child state with N[S] the whole graph closes
+    a burning and is folded into its parent's loop, not answered by a call
+    nor stored: it adds its source alone, one burning and end offset 0 if
+    some vertex burns at its step (S is not the whole graph), -1 otherwise.
+    A child whose region is memoised is read in the loop too.  The memo
+    lives only for the call.  Past `_SEARCH_STATES` distinct states S met
+    (one per child of a searched region, and the start) it raises
+    `SizeGuardExceeded`.
     """
     nbhd = _closed_neighbourhoods(g)
     whole = (1 << g.vertex_count) - 1
     memo: dict[int, tuple[set[int], int, int]] = {}
     states = {0}
-    closed, closed_early = ({0}, 0, 1), ({0}, -1, 1)
 
-    def visit(s: int, ns: int) -> tuple[set[int], int, int]:
-        if ns == whole:
-            return closed if s != whole else closed_early
-        found = memo.get(ns)
-        if found is not None:
-            return found
+    # Like the listing's walk, visit takes itself as an argument, not through a cell.
+    def visit(visit, s: int, ns: int) -> tuple[set[int], int, int]:
         free, _, nns = _expand(nbhd, whole, s, ns)
         sets: set[int] = set()
         least = g.vertex_count  # past any end offset: each step burns a vertex
@@ -356,9 +357,19 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
             free ^= bit
             child = ns | bit
             states.add(child)
-            child_sets, child_least, child_count = visit(
-                child, nns | nbhd[bit.bit_length() - 1])
-            sets |= {m | bit for m in child_sets}
+            near = nns | nbhd[bit.bit_length() - 1]
+            if near == whole:  # a closed child: one burning, its own source set
+                sets.add(bit)
+                end = -1 if child == whole else 0
+                if end < least:
+                    least = end
+                count += 1
+                continue
+            found = memo.get(near)
+            if found is None:
+                found = visit(visit, child, near)
+            child_sets, child_least, child_count = found
+            sets.update(map(bit.__or__, child_sets))
             if child_least < least:
                 least = child_least
             count += child_count
@@ -369,7 +380,7 @@ def _search(g: Graph) -> tuple[frozenset[int], int, int]:
         found = memo[ns] = (sets, least + 1, count)
         return found
 
-    masks, least, count = visit(0, 0)
+    masks, least, count = visit(visit, 0, 0)
     return frozenset(masks), least + 1, count
 
 

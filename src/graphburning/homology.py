@@ -65,8 +65,16 @@ def chain_complex(c: SimplicialComplex, augmented: bool = False) -> ChainComplex
     boundaries = [[{0: 1} if augmented else {} for _ in levels[0]]]
     for lower, upper in zip(levels, levels[1:]):
         index = {m: i for i, m in enumerate(lower)}
-        boundaries.append([{index[m ^ 1 << v]: -1 if i % 2 else 1
-                            for i, v in enumerate(_vertices(m))} for m in upper])
+        columns = []
+        for m in upper:  # clear m's bits from the lowest up, the signs alternating
+            column, sign, rest = {}, 1, m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                column[index[m ^ bit]] = sign
+                sign = -sign
+            columns.append(column)
+        boundaries.append(columns)
     cc = ChainComplexZ(tuple(map(len, levels)), tuple(boundaries), augmented)
     _assert_square_zero(cc)
     return cc

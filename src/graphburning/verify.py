@@ -250,17 +250,12 @@ def _path_maximal_independent_sets(n: int) -> set[tuple[int, ...]]:
     more vertex) and end at n-1 or n-2.
     """
     out = set()
-
-    def extend(s: tuple[int, ...]) -> None:
+    stack = [(start,) for start in (0, 1) if start < n]
+    while stack:
+        s = stack.pop()
         if s[-1] >= n - 2:
             out.add(s)
-        for step in (2, 3):
-            if s[-1] + step < n:
-                extend(s + (s[-1] + step,))
-
-    for start in (0, 1):
-        if start < n:
-            extend((start,))
+        stack += [s + (s[-1] + step,) for step in (2, 3) if s[-1] + step < n]
     return out
 
 
@@ -402,18 +397,6 @@ def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
     def minor_det(ris: tuple[int, ...], cis: tuple[int, ...]) -> int:
         return _det([[m[i][j] for j in cis] for i in ris])
 
-    def _det(sub: list[list[int]]) -> int:
-        n = len(sub)
-        if n == 1:
-            return sub[0][0]
-        det = 0
-        for j in range(n):
-            if sub[0][j]:
-                smaller = [row[:j] + row[j + 1:] for row in sub[1:]]
-                sign = -1 if j % 2 else 1
-                det += sign * sub[0][j] * _det(smaller)
-        return det
-
     divisors = []
     for k in range(1, min(rows, cols) + 1):
         g = 0
@@ -429,6 +412,20 @@ def determinantal_divisor_snf(matrix: Sequence[Sequence[int]]) -> SmithForm:
         diagonal.append(d // prev)
         prev = d
     return SmithForm(tuple(diagonal), len(diagonal))
+
+
+def _det(sub: list[list[int]]) -> int:
+    """The determinant of a square matrix, by cofactors along its first row."""
+    n = len(sub)
+    if n == 1:
+        return sub[0][0]
+    det = 0
+    for j in range(n):
+        if sub[0][j]:
+            smaller = [row[:j] + row[j + 1:] for row in sub[1:]]
+            sign = -1 if j % 2 else 1
+            det += sign * sub[0][j] * _det(smaller)
+    return det
 
 
 def check_property_suites() -> CheckResult:

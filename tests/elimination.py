@@ -11,6 +11,7 @@ same Smith forms, taken on every boundary of the whole chain complex.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from graphburning import HomologyGroup, chain_complex, smith_normal_form
@@ -113,14 +114,21 @@ def field_rank(matrix: Sequence[Sequence[int]], ops: FieldOps) -> int:
     return len(rref(matrix, ops)[1])
 
 
+# One reduction per complex: `_assert_matches_unreduced_route` asks for four rings.
+@lru_cache(maxsize=8)
+def _unreduced_diagonals(c, reduced: bool) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The face counts, and the Smith diagonal of every boundary of the whole complex."""
+    cc = chain_complex(c, augmented=reduced)
+    return cc.dims, tuple(smith_normal_form(cc.boundary(q)).diagonal
+                          for q in range(len(cc.dims) + 1))
+
+
 def unreduced_homology(c, reduced: bool = False, coeff: str = "z") -> list:
     """Homology from the Smith forms of every boundary of the whole complex."""
     p = parse_coeff(coeff)
-    cc = chain_complex(c, augmented=reduced)
-    top = len(cc.dims) - 1
-    diagonals = [smith_normal_form(cc.boundary(q)).diagonal for q in range(top + 2)]
+    dims, diagonals = _unreduced_diagonals(c, reduced)
     ranks = [sum(1 for d in diagonal if not p or d % p) for diagonal in diagonals]
     return [HomologyGroup(
-        cc.dim(q) - ranks[q] - ranks[q + 1],
+        dims[q] - ranks[q] - ranks[q + 1],
         () if p is not None else tuple(d for d in diagonals[q + 1] if d > 1))
-        for q in range(top + 1)]
+        for q in range(len(dims))]

@@ -453,9 +453,10 @@ def test_ladder_runs_its_smallest_rung():
     assert (row["rung"], row["facets"], row["cells_left"], row["runs"]) == ("P10", 16, 0, 3)
     assert row["source_sets"] == len(source_sets(path_graph(10)))
     assert list(row["seconds"]) == [label for _, _, label in ladder.LAYERS]
-    spreads = [row[key] for key in ("conf_s", "homology_s", "peak_rss_mib", "process_s")]
+    spreads = [row[key] for key in ("conf_s", "homology_s", "gc_passes", "peak_rss_mib",
+                                    "process_s")]
     assert all(s["min"] <= s["median"] <= s["max"] for s in spreads + list(row["seconds"].values()))
-    assert row["peak_rss_mib"]["min"] > 0
+    assert row["peak_rss_mib"]["min"] > 0 and row["gc_passes"]["min"] >= 0
     # Each process outlasts its own conf_s, so each order statistic does too.
     assert all(row["process_s"][k] > row["conf_s"][k] for k in ("median", "min", "max"))
     cold = ladder.run_cold_start()

@@ -77,6 +77,12 @@ TETRA_BOUNDARY = from_generators(
 PROJECTIVE_PLANE = from_generators(6, [
     (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
     (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)])
+# An 8-vertex projective plane whose seven non-edges form a spanning tree:
+# its non-edge graph is connected, so it splits off a join as one factor,
+# which the 6-vertex one, with its complete 1-skeleton, never does.
+SPLIT_PROJECTIVE_PLANE = from_generators(8, [
+    (0, 1, 2), (0, 1, 5), (0, 2, 6), (0, 5, 7), (0, 6, 7), (1, 2, 7), (1, 3, 5),
+    (1, 3, 6), (1, 6, 7), (2, 3, 4), (2, 3, 6), (2, 4, 7), (3, 4, 5), (4, 5, 7)])
 # The suspension and the cone of a complex are its joins with S^0 and a point.
 S0 = SimplicialComplex(2, frozenset({0b01, 0b10}))
 POINT = SimplicialComplex(1, frozenset({0b1}))
@@ -546,7 +552,13 @@ def _subdivision(c):
 def joins(draw):
     """The join of two or three parts: small random complexes or their strong
     cores other than a point, which keep the join from collapsing to a point,
-    and RP^2 at most once."""
+    and RP^2 at most once.  One join in four is instead the split RP^2 and
+    either RP^2, in either order: torsion on both sides of a split, whose
+    groups only Milnor's Tor term gets right.  Larger joins of two torsion
+    parts make the unreduced oracle take seconds each."""
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(st.sampled_from([PROJECTIVE_PLANE, SPLIT_PROJECTIVE_PLANE]))
+        return reduce(join, draw(st.permutations([SPLIT_PROJECTIVE_PLANE, other])))
     small = complexes(max_vertices=4, max_facets=3)
     part = st.one_of(small, small.map(_strong_core).filter(lambda c: c.vertex_count > 1))
     parts = draw(st.lists(part, min_size=1, max_size=3))

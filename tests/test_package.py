@@ -1,5 +1,7 @@
 import ast
+import gc
 import importlib
+import importlib.util
 import inspect
 import os
 import pickle
@@ -23,6 +25,7 @@ from graphburning import (
     MorphismError,
     SimplicialComplex,
     SimplicialMapError,
+    SizeGuardExceeded,
     SmithForm,
     Subgraph,
     TauNotGraphMap,
@@ -35,15 +38,20 @@ from graphburning import (
     compose_graph_maps,
     compose_morphisms,
     compose_simplicial_maps,
+    configuration_space,
+    cycle_graph,
     edgeless_graph,
+    enumerate_burnings,
     extremal_path_report,
     faces,
+    homology,
     identity_map,
     identity_morphism,
     identity_simplicial_map,
     induced_subgraph,
     is_b_burned,
     is_burning_extension,
+    iter_burnings,
     iterated_sum,
     matrix_rank_over,
     parse_graph_text,
@@ -56,6 +64,7 @@ from graphburning import (
     validate_simplicial_map,
     whole_graph,
 )
+from graphburning import burning, verify
 from graphburning.maps import chain_map_matrix
 from graphburning.verify import CheckResult, VerificationReport
 
@@ -95,6 +104,69 @@ def test_every_cache_is_bounded():
                 "graphburning.burning._search", "graphburning.homology._reduction"}
     assert expected <= caches.keys()
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+
+
+def _garbage_after(action) -> int:
+    """How many objects `action()` leaves that only the cycle collector frees."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _refused_search(g: Graph) -> None:
+    try:
+        burning._search.__wrapped__(g)
+    except SizeGuardExceeded:
+        return
+    raise AssertionError("the search was not refused")
+
+
+def test_memos_are_freed_on_return(monkeypatch):
+    """The search, the listing and the pipeline leave no cyclic garbage, so a
+    long-running process frees each memo as soon as its call is done."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    surveyed = Graph.from_edges(*workloads.survey_corpus(1)[0])
+    actions = {
+        "search P12": lambda: burning._search.__wrapped__(path_graph(12)),
+        "search survey graph": lambda: burning._search.__wrapped__(surveyed),
+        "listing": lambda: enumerate_burnings(cycle_graph(9)),
+        "listing dropped after one next": lambda: next(iter_burnings(path_graph(10))),
+        "pipeline": lambda: homology(configuration_space(cycle_graph(11))),
+        "Kozlov's facets": lambda: verify._path_maximal_independent_sets(12),
+    }
+    assert {name: _garbage_after(action) for name, action in actions.items()} == dict.fromkeys(
+        actions, 0)
+    # A refused search frees its memo too: P12 meets 472 states.
+    monkeypatch.setattr(burning, "_SEARCH_STATES", 471)
+    assert _garbage_after(lambda: _refused_search(path_graph(12))) == 0
+
+
+def test_no_nested_function_calls_itself_by_name():
+    """A nested function that reaches itself through a closure cell is a cycle:
+    it and all it holds outlive the call until the collector runs."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, ast.FunctionDef):
+                    continue
+                params = {a.arg for a in ast.walk(inner.args) if isinstance(a, ast.arg)}
+                if inner.name not in params and any(
+                        isinstance(node, ast.Name) and node.id == inner.name
+                        for node in ast.walk(inner)):
+                    found.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert found == []
 
 
 def test_package_imports_only_the_standard_library():
