@@ -31,7 +31,7 @@ pipeline order:
 - `smith`: `exactlinalg.smith_normal_form`.
 
 One more row times a fresh `graphburn homology path:14`, split into the
-package import, the parser (build and parse) and the work, in seven fresh
+package import, the argv read (`cli.parse_args`) and the work, in seven fresh
 processes, with the median, min and max of each stage: a single process
 strays by 20-40%, past most changes worth measuring.  The row also lists the
 `graphburning` modules that call loaded, its import path.  The results go
@@ -153,7 +153,7 @@ import sys, time
 start = time.perf_counter()
 from graphburning import cli
 imported = time.perf_counter()
-args = cli.build_parser({COLD_ARGV!r}).parse_args({COLD_ARGV!r})
+args = cli.parse_args({COLD_ARGV!r})
 parsed = time.perf_counter()
 args.fn(args)
 done = time.perf_counter()

@@ -245,18 +245,8 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The top level with only the parser of argv's command, which argparse is
-    sure to take when only `--format X`, `--format=X` or `--one-based` precede
-    it; every command's parser for any other argv (`--help` too) and for None."""
-    command, tokens = None, iter(argv or ())
-    for token in tokens:
-        if token == "--format":
-            next(tokens, None)
-        elif token != "--one-based" and not token.startswith("--format="):
-            command = None if token.startswith("-") else token  # -h and the like
-            break
-
+def build_parser() -> argparse.ArgumentParser:
+    """The whole grammar, for help and usage errors: `parse_args` reads a plain argv itself."""
     def flags(p):  # before or after the command; SUPPRESS keeps a value given up front
         p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
         p.add_argument("--one-based", action="store_true", default=argparse.SUPPRESS,
@@ -267,45 +257,74 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         prog="graphburn", description="Graph burnings, configuration complexes, burning homology."))
     parser.set_defaults(format="text", one_based=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = []
 
     def add(name, fn, help, graph=True):
-        names.append(name)
-        if command in (None, name):
-            p = flags(sub.add_parser(name, help=help))
-            if graph:
-                p.add_argument("graph", help="file, builder expression, or edge-list text")
-            p.set_defaults(fn=fn)  # read now, so that a patched handler is called
-            return p
+        p = flags(sub.add_parser(name, help=help))
+        if graph:
+            p.add_argument("graph", help="file, builder expression, or edge-list text")
+        p.set_defaults(fn=fn)  # read now, so that a patched handler is called
+        return p
 
     add("burnings", cmd_burnings, "list every burning of a graph")
     add("burning-number", cmd_burning_number, "minimum end time over all burnings")
-    if p := add("validate", cmd_validate, "check a source sequence and print its time function"):
-        p.add_argument("sources", help="comma-separated source sequence, e.g. 0,3")
+    add("validate", cmd_validate, "check a source sequence and print its time function"
+        ).add_argument("sources", help="comma-separated source sequence, e.g. 0,3")
     add("complex", cmd_complex, "facets of the burning configuration space")
-    if p := add("homology", cmd_homology, "homology of the burning configuration space"):
-        p.add_argument("--reduced", action="store_true")
-        p.add_argument("--coeff", default="z", metavar="z|q|p:N", help="coefficients: z "
-                       "(integers), q (rationals), p:N (integers mod N; N must be prime)")
-    if p := add("minimal-subgraphs", cmd_minimal_subgraphs,
-                "minimal subgraphs burned compatibly with a burning"):
-        p.add_argument("sources")
-    if p := add("witness", cmd_witness, "extremal path lengths with witnesses", graph=False):
-        from .morphisms import _EXTREMAL_N
-        p.add_argument("kind", choices=tuple(_EXTREMAL_N))
-        p.add_argument("param", type=int)
-    if p := add("verify", cmd_verify, "run the built-in verification checks", graph=False):
-        p.add_argument("checks", nargs="*",
-                       help="check ids (default all); an unknown id lists the known ones")
-        p.add_argument("--quiet", action="store_true", help="omit failure details in text output")
-    if command not in names:
-        return parser if command is None else build_parser()
-    sub.metavar = "{" + ",".join(names) + "}"  # the usage line of the whole tree
+    p = add("homology", cmd_homology, "homology of the burning configuration space")
+    p.add_argument("--reduced", action="store_true")
+    p.add_argument("--coeff", default="z", metavar="z|q|p:N", help="coefficients: z "
+                   "(integers), q (rationals), p:N (integers mod N; N must be prime)")
+    add("minimal-subgraphs", cmd_minimal_subgraphs,
+        "minimal subgraphs burned compatibly with a burning").add_argument("sources")
+    from .morphisms import _EXTREMAL_N
+    p = add("witness", cmd_witness, "extremal path lengths with witnesses", graph=False)
+    p.add_argument("kind", choices=tuple(_EXTREMAL_N))
+    p.add_argument("param", type=int)
+    p = add("verify", cmd_verify, "run the built-in verification checks", graph=False)
+    p.add_argument("checks", nargs="*",
+                   help="check ids (default all); an unknown id lists the known ones")
+    p.add_argument("--quiet", action="store_true", help="omit failure details in text output")
     return parser
 
 
+# The positionals of each graph command that `parse_args` reads without a parser.
+_PLAIN = {"burnings": ("graph",), "burning-number": ("graph",), "validate": ("graph", "sources"),
+          "complex": ("graph",), "homology": ("graph",), "minimal-subgraphs": ("graph", "sources")}
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, read with no parser when argv is plain:
+    a command of `_PLAIN`, its positionals, `--format text|json` and `--one-based`
+    anywhere, and homology's `--reduced` and `--coeff VALUE` after it, each flag
+    in full and apart from its value.  argparse reads the rest and words every error."""
+    argv = sys.argv[1:] if argv is None else argv
+    values, command, words, tokens = {"format": "text", "one_based": False}, None, [], iter(argv)
+    for token in tokens:
+        if token == "--one-based" or token == "--reduced" and command == "homology":
+            values[token[2:].replace("-", "_")] = True
+        elif token == "--format" or token == "--coeff" and command == "homology":
+            values[token[2:]] = value = next(tokens, "-")
+            if value.startswith("-") or token == "--format" and value not in ("text", "json"):
+                break
+        elif token.startswith("-") or command is None and token not in _PLAIN:
+            break
+        elif command is None:
+            command = token
+        else:
+            words.append(token)
+    else:
+        if command and len(words) == len(_PLAIN[command]):
+            if command == "homology":
+                values = {"reduced": False, "coeff": "z", **values}
+            # The handler is read now, so that a patched one is called.
+            return argparse.Namespace(**values, **dict(zip(_PLAIN[command], words)),
+                                      command=command,
+                                      fn=globals()["cmd_" + command.replace("-", "_")])
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .burning import _search
+from .burning import SizeGuardExceeded, _search
 from .graphs import Graph, _vertices
 
 Simplex = tuple[int, ...]
@@ -92,14 +92,26 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return larger + same
 
 
+# The face lattice gives up past this many faces rather than run for minutes:
+# the boundary of the 16-simplex (131,070 faces) takes 0.4 s and each further
+# vertex doubles it.  It admits conf(C25)'s strong core (142,330 faces), conf(P25)
+# (196,417) and conf(11xP2) (177,146), which the burning search admits too.
+_LATTICE_FACES = 250_000
+
+
 def _face_lattice(masks: frozenset[int]) -> tuple[tuple[int, ...], ...]:
     """Every face of the complex with these facets, one tuple per dimension in
     lexicographic order, built from the top down: a level is the level above
-    with one vertex cleared from each face, plus the facets of that size."""
-    levels, level = [], set()
+    with one vertex cleared from each face, plus the facets of that size.
+    Past `_LATTICE_FACES` faces, counted after each level, it gives up."""
+    levels, level, built = [], set(), 0
     for size in range(max(map(int.bit_count, masks)), 0, -1):
         level = {m ^ 1 << v for m in level for v in _vertices(m)}.union(
             m for m in masks if m.bit_count() == size)
+        built += len(level)
+        if built > _LATTICE_FACES:
+            raise SizeGuardExceeded(f"the face lattice passed {_LATTICE_FACES:,} faces "
+                                    f"on a complex with {len(masks):,} facets")
         # Of two faces of one size, the lexicographically first holds the least
         # vertex they do not share: its binary digits read from bit 0 compare larger.
         levels.append(tuple(sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True)))

@@ -169,7 +169,8 @@ def _join_factors(c: SimplicialComplex) -> list[SimplicialComplex]:
     A join factor is a union of components of the non-edge graph (u ~ v when
     no facet holds both).  F -> (F & A, F - A) is one-to-one on the facets F,
     so a component A splits off iff |{F & A}| * |{F - A}| = |facets|; one that
-    fails stays in the rest.  A factor of a strong core is a strong core.
+    fails stays in the rest, and every component is tested, the last one too
+    once an earlier one failed.  A factor of a strong core is a strong core.
     """
     whole = (1 << c.vertex_count) - 1
     near = [0] * c.vertex_count  # near[v]: the vertices that share a facet with v
@@ -189,7 +190,9 @@ def _join_factors(c: SimplicialComplex) -> list[SimplicialComplex]:
         parts.append(part)
         unseen &= ~part
     pieces, masks, rest = [], c.masks, whole
-    for part in parts[:-1]:
+    for part in parts:
+        if part == rest:  # what is left is the last factor, split or not
+            break
         inside, outside = {m & part for m in masks}, {m & ~part for m in masks}
         if len(inside) * len(outside) == len(masks):
             pieces.append((inside, part))

@@ -22,7 +22,8 @@ from graphburning import (
     path_graph,
     source_sets,
 )
-from graphburning import burning, cli, morphisms, verify
+from graphburning import burning, cli, complexes, morphisms, verify
+from graphburning.homology import _reduction
 from graphburning.cli import UsageError, build_parser, load_graph, main, parse_sources
 
 
@@ -324,6 +325,16 @@ def test_bitmask_budget_fails_fast(capsys, monkeypatch):
     assert code == 2 and not out and "past the bitmask budget of 4 vertices" in err
 
 
+def test_face_lattice_budget_fails_fast(capsys, monkeypatch):
+    """conf(C12) is its own strong core, no join, with 283 faces."""
+    _reduction.cache_clear()
+    monkeypatch.setattr(complexes, "_LATTICE_FACES", 282)
+    assert run(capsys, "homology", "cycle:12") == (
+        2, "", "error: the face lattice passed 282 faces on a complex with 105 facets\n")
+    monkeypatch.setattr(complexes, "_LATTICE_FACES", 283)
+    assert run(capsys, "homology", "cycle:12") == (0, "H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = Z^36\n", "")
+
+
 def test_subgraph_budget_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(morphisms, "_SUBGRAPH_CANDIDATES", 0)
     code, out, err = run(capsys, "minimal-subgraphs", "path:9", "4,1,7")
@@ -537,25 +548,51 @@ PARSER_CASES = [
 ] + [[c, "-h"] for c in COMMANDS]
 
 
-def _parse(parser, argv):
+def _parse(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parser.parse_args(argv)
+            result = parse(argv)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
 
 
+def _plain_argvs():
+    """Each graph command with its positionals, the shared flags before or after
+    it in both formats, and homology's options: all plain, as `parse_args` reads."""
+    words = {"validate": ["path:5", "0,3"], "minimal-subgraphs": ["path:5", "1,4"]}
+    options = [[], ["--reduced"], ["--coeff", "q"], ["--coeff", "p:2", "--reduced"]]
+    for command in cli._PLAIN:
+        positionals = words.get(command, ["path:5"])
+        for fmt in ("text", "json"):
+            for shared in (["--format", fmt], ["--format", fmt, "--one-based"]):
+                for extra in options if command == "homology" else [[]]:
+                    yield shared + [command] + positionals + extra
+                    yield [command] + extra + shared + positionals
+                    yield [command] + positionals[:1] + shared + positionals[1:] + extra
+        yield [command] + positionals
+
+
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_command_parser_matches_the_whole_tree(argv):
-    """The parser built for argv parses it as every command's parser does:
-    the same namespace, or the same exit code, stdout and stderr."""
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+    """`parse_args` reads argv as the whole tree does: the same namespace, or
+    the same exit code, stdout and stderr."""
+    assert _parse(cli.parse_args, argv) == _parse(build_parser().parse_args, argv)
 
 
-def test_a_call_builds_only_its_own_commands_parser(capsys, monkeypatch):
-    """A guard on the cold start: the top level and one command, not all."""
+def test_plain_argvs_are_read_as_argparse_reads_them(monkeypatch):
+    """On every plain argv the recogniser gives argparse's namespace, handler
+    included, and never falls back to a parser."""
+    whole = build_parser()
+    monkeypatch.setattr(cli, "build_parser", None)
+    for argv in _plain_argvs():
+        assert cli.parse_args(argv) == whole.parse_args(argv), argv
+
+
+def test_a_plain_call_builds_no_parser(capsys, monkeypatch):
+    """A guard on the cold start: a plain call of each graph command builds no
+    `ArgumentParser`, and `--help` builds the whole tree once."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -564,9 +601,11 @@ def test_a_call_builds_only_its_own_commands_parser(capsys, monkeypatch):
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(capsys, "homology", "path:3")[0] == 0
-    assert built == ["graphburn", "graphburn homology"]
-    built.clear()
+    for argv in (["homology", "path:3"], ["--format", "json", "burnings", "path:3"],
+                 ["burning-number", "path:3", "--one-based"], ["validate", "path:5", "0,3"],
+                 ["complex", "path:3"], ["minimal-subgraphs", "path:5", "0,3"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
     with pytest.raises(SystemExit) as exit_:
         main(["--help"])
     assert exit_.value.code == 0 and "minimal-subgraphs" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from graphburning import (
     ComplexError,
     SimplicialComplex,
     SimplicialMapError,
+    SizeGuardExceeded,
     burning_number,
     classify,
     complement,
@@ -180,6 +181,22 @@ def test_skeleton_faces_agree(c):
         assert s.dimension <= n
         for q in range(n + 1):
             assert faces(s, q) == faces(c, q)
+
+
+def test_face_lattice_budget(monkeypatch):
+    """The lattice counts its faces after each level: conf(P20) has 17,710, so
+    17,709 is too few.  A refused lattice is not cached."""
+    c = configuration_space(path_graph(20))
+    monkeypatch.setattr("graphburning.complexes._LATTICE_FACES", 17_709)
+    with pytest.raises(SizeGuardExceeded, match="17,709 faces on a complex with 265 facets"):
+        faces(c, 0)
+    monkeypatch.setattr("graphburning.complexes._LATTICE_FACES", 17_710)
+    assert sum(len(faces(c, q)) for q in range(c.dimension + 1)) == 17_710
+    # At the real budget the boundary of the 17-simplex, 262,142 faces, is refused.
+    monkeypatch.undo()
+    sphere = from_generators(18, itertools.combinations(range(18), 17))
+    with pytest.raises(SizeGuardExceeded, match="250,000 faces on a complex with 18 facets"):
+        homology(sphere)
 
 
 def test_graph_as_complex_round_trip():

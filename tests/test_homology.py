@@ -604,6 +604,18 @@ def test_join_split_keeps_torsion():
                 join(PROJECTIVE_PLANE, PROJECTIVE_PLANE), reduced, coeff), (reduced, coeff)
 
 
+def test_join_split_tests_the_last_component():
+    """The split does not depend on the factors' order: the split RP^2 comes
+    off after the six components of the 6-vertex RP^2 fail one by one."""
+    for c in (join(SPLIT_PROJECTIVE_PLANE, PROJECTIVE_PLANE),
+              join(PROJECTIVE_PLANE, SPLIT_PROJECTIVE_PLANE)):
+        assert len(_join_factors(_strong_core(c))) == 2
+        for reduced in (False, True):
+            for coeff in ("z", "q", "p:2"):
+                assert homology(c, reduced, coeff) == unreduced_homology(c, reduced, coeff), (
+                    reduced, coeff)
+
+
 def test_homology_record():
     records = homology_to_record(homology(PROJECTIVE_PLANE))
     assert records[1] == {"degree": 1, "free_rank": 0, "torsion": [2]}
